@@ -191,7 +191,9 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     reader = FrameFileReader(args.frames_file)
     result = analyze_source(reader, config.analysis_config(), workers=args.threads)
-    recovered = recover_visibilities(result, config.fringe_period)
+    recovered = recover_visibilities(
+        result, config.fringe_period, config.camera.quantum_efficiency
+    )
     grid = result.estimate.grid
     x = grid.positions
     write_joint_csv(out / "estimate.csv", x, result.estimate.values)
@@ -263,7 +265,12 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--frames", type=int, help="frame count override")
-        p.add_argument("--threads", type=int, default=1, help="analysis worker count")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="split the analysis into N frame ranges, reduced and merged in order",
+        )
         p.add_argument(
             "--d",
             type=float,

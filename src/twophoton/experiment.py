@@ -111,10 +111,13 @@ class ExperimentConfig:
 
     def illumination_kernel(self, d: float | None = None) -> LinearKernel:
         """Source-to-slit propagation kernel for the configured mode."""
+        d = self.distance if d is None else d
+        if d <= 0:
+            raise InvalidParameterError("source-slit distance must be positive")
         pump_grid = self.pump().grid
         if self.mode == "fourier-2f":
             return fourier_2f_kernel(pump_grid, self.slit_grid(), self.wavelength, self.focal_length)
-        return fresnel_kernel(pump_grid, self.slit_grid(), self.wavelength, d or self.distance)
+        return fresnel_kernel(pump_grid, self.slit_grid(), self.wavelength, d)
 
     def correlations(self, d: float | None = None) -> ApertureCorrelations:
         return ApertureCorrelations.from_pump(
@@ -247,7 +250,9 @@ def run_closure(
         psi = analytic_summary(config).psi
     sim = build_simulator(config, psi)
     analysis = analyze_source(sim, config.analysis_config(), workers=workers)
-    recovered = recover_visibilities(analysis, config.fringe_period)
+    recovered = recover_visibilities(
+        analysis, config.fringe_period, config.camera.quantum_efficiency
+    )
     return ClosureResult(psi, visibilities_from_psi(psi), recovered, analysis)
 
 

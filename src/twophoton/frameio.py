@@ -140,6 +140,27 @@ class FrameFileReader:
                     self.header.height, self.header.width
                 )
 
+    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.
+
+        Returns every index of the range and a ``uint16[hi - lo, v1 - v0,
+        width]`` array; only the bytes of those rows are read from disk.
+        """
+        h = self.header
+        v0, v1 = rows
+        if not (0 <= lo <= hi <= h.frame_count and 0 <= v0 <= v1 <= h.height):
+            raise IndexError((lo, hi, rows))
+        block = np.empty((hi - lo, v1 - v0, h.width), dtype="<u2")
+        row_bytes = h.width * (h.bits_per_pixel // 8)
+        with open(self.path, "rb") as f:
+            for out, k in zip(block, range(lo, hi)):
+                start = HEADER_SIZE + k * h.frame_bytes + v0 * row_bytes
+                f.seek(start)
+                got = f.readinto(out)
+                if got != out.nbytes:
+                    raise FrameFormatError(f"truncated frame {k}", offset=start + got)
+        return np.arange(lo, hi, dtype=np.int64), block
+
 
 def write_pattern_csv(path: str | Path, positions: np.ndarray, values: np.ndarray) -> None:
     """1-D pattern as ``position_m,value`` rows."""
@@ -157,11 +178,13 @@ def read_pattern_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_joint_csv(path: str | Path, positions: np.ndarray, values: np.ndarray) -> None:
     """2-D pattern as ``x_m,y_m,value`` rows in row-major order."""
+    xs = [f"{x:.9e}," for x in np.asarray(positions).tolist()]
     with open(path, "w") as f:
         f.write("x_m,y_m,value\n")
-        for i, x in enumerate(positions):
-            for j, y in enumerate(positions):
-                f.write(f"{x:.9e},{y:.9e},{values[i, j]:.9e}\n")
+        # one write per row keeps the formatted text to one row in memory
+        for x, row in zip(xs, np.asarray(values)):
+            cells = map("{:.9e}\n".format, row.tolist())
+            f.write("".join([x + y + c for y, c in zip(xs, cells)]))
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:

@@ -8,12 +8,15 @@ an outer-product increment to the coincidence accumulator.  Finalization
 turns the accumulated counts into a normalized joint pattern, correcting for
 the geometry of the vertical-separation filter and interpolating the
 resolution-limited near-diagonal band.
+
+``analyze_source`` does this for blocks of frames at once, on the strip rows
+only; ``process_frame`` is the per-frame reference it must equal.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage, stats
@@ -24,6 +27,11 @@ from .patterns import FringePattern1D, JointPattern2D, marginal_pattern
 from .sensor import FULL_SCALE, CameraModel, PhotonEvent
 
 _CONN8 = np.ones((3, 3), dtype=int)
+# 8-connected inside each frame of a block, never across frames
+_CONN8_BLOCK = np.zeros((3, 3, 3), dtype=int)
+_CONN8_BLOCK[1] = 1
+# frames drawn, rendered and labelled together; results do not depend on it
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,14 +92,17 @@ def detect_photons(
     if n == 0:
         return []
     sizes = np.bincount(labels.ravel())
-    keep = [lab for lab in range(1, n + 1) if sizes[lab] >= min_patch]
-    if not keep:
-        return []
-    positions = ndimage.maximum_position(analog, labels, keep)
-    return [
-        PhotonEvent(int(r), int(c), int(analog[int(r), int(c)]))
-        for r, c in positions
-    ]
+    events = []
+    for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+        if sizes[lab] < min_patch:
+            continue
+        # first maximum in row-major order within the bounding box; patch
+        # pixels exceed the threshold, so 0 marks the pixels of other patches
+        values = np.where(labels[box] == lab, analog[box], 0)
+        r, c = np.unravel_index(np.argmax(values), values.shape)
+        r, c = int(r) + box[0].start, int(c) + box[1].start
+        events.append(PhotonEvent(r, c, int(analog[r, c])))
+    return events
 
 
 @dataclass(frozen=True)
@@ -213,18 +224,27 @@ def accumulate_pair(acc: CoincidenceAccumulator, pair: PairRecord) -> None:
     acc.matrix[j, i] += 1
 
 
+def _strip_window(cfg: AnalysisConfig, height: int) -> tuple[int, int]:
+    """Frame rows ``(v0, v1)`` the reduction examines.
+
+    The readout strip, padded by one patch so patches crossing the strip
+    edge are seen whole: events outside the strip are dropped regardless,
+    so this matches full-frame processing.
+    """
+    margin = cfg.patch_size - 1
+    v1 = min(cfg.strip_rows[1] + margin + 1, height)
+    return min(max(cfg.strip_rows[0] - margin, 0), v1), v1
+
+
 def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumulator) -> str:
     """Reduce one frame into the accumulator; returns the frame class.
 
-    Only the readout strip (padded by one patch so patches crossing the
-    strip edge are seen whole) is examined: events outside the strip are
-    dropped regardless, so this matches full-frame processing.
+    The per-frame reference for the block reduction in ``analyze_source``:
+    only the rows of ``_strip_window`` are examined.
     """
     acc.frames_total += 1
-    r0, r1 = cfg.strip_rows
-    margin = cfg.patch_size - 1
-    v0 = max(r0 - margin, 0)
-    view = frame[v0 : min(r1 + margin + 1, frame.shape[0])]
+    v0, v1 = _strip_window(cfg, frame.shape[0])
+    view = frame[v0:v1]
     if view.max(initial=0) <= cfg.threshold:
         acc.frames_empty += 1
         return "empty"
@@ -370,11 +390,6 @@ def superpixel_bin(matrix: np.ndarray, factor: int = 4) -> np.ndarray:
     raise InvalidParameterError("superpixel binning supports 1-D and 2-D arrays")
 
 
-def estimate_marginal(estimate: JointPattern2D) -> FringePattern1D:
-    """Single-photon rate from the G2 estimate: integrate over one position."""
-    return marginal_pattern(estimate)
-
-
 @dataclass(frozen=True)
 class Chi2Result:
     statistic: float
@@ -443,7 +458,7 @@ def estimate_pair_rate(acc: CoincidenceAccumulator, quantum_efficiency: float) -
     return -np.log(f_empty) / (1.0 - (1.0 - quantum_efficiency) ** 2)
 
 
-def accidental_fraction(mean_pairs: float, quantum_efficiency: float, k_max: int = 64) -> float:
+def accidental_fraction(mean_pairs: float, quantum_efficiency: float) -> float:
     """Fraction of accepted coincidences that are accidental cross pairs.
 
     A frame with k generated pairs and exactly two surviving photons yields
@@ -451,20 +466,23 @@ def accidental_fraction(mean_pairs: float, quantum_efficiency: float, k_max: int
     true pairs and 2k(k-1) pair photons from different down-conversion
     events.  Accidentals share the true pairs' marginal, so they dilute the
     excess-pattern fringe amplitudes by exactly (1 - fraction).
+
+    The Poisson sum over k runs to mean + 12 sqrt(mean) + 64, past which
+    the terms are below exp(-70) of the largest, for any mean.
     """
     if mean_pairs < 0:
         raise InvalidParameterError("mean pairs must be >= 0")
-    eta = quantum_efficiency
-    k = np.arange(1, k_max + 1)
-    log_pois = k * np.log(mean_pairs) - mean_pairs - np.cumsum(np.log(k)) if mean_pairs > 0 else None
-    if log_pois is None:
+    if not 0 <= quantum_efficiency <= 1:
+        raise InvalidParameterError("quantum efficiency must be in [0, 1]")
+    if mean_pairs == 0 or quantum_efficiency == 1:
+        # no pairs, or every photon survives: two survivors mean one true pair
         return 0.0
-    pois = np.exp(log_pois)
-    weight = pois * (1.0 - eta) ** (2 * k - 2)  # common eta^2 factor cancels
+    k = np.arange(1, int(mean_pairs + 12 * np.sqrt(mean_pairs)) + 65)
+    # log Poisson weight times (1 - eta)^(2k - 2); the common eta^2 cancels
+    log_w = k * np.log(mean_pairs) - np.cumsum(np.log(k)) + (2 * k - 2) * np.log1p(-quantum_efficiency)
+    weight = np.exp(log_w - log_w.max())
     total = np.sum(weight * k * (2 * k - 1))
     cross = np.sum(weight * 2 * k * (k - 1))
-    if total <= 0:
-        return 0.0
     return float(cross / total)
 
 
@@ -479,57 +497,116 @@ class AnalysisResult:
     config: AnalysisConfig
 
 
-def _source_width(source) -> int:
+def _source_shape(source) -> tuple[int, int]:
     header = getattr(source, "header", None)
     if header is not None:
-        return header.width
+        return header.height, header.width
     camera = getattr(source, "camera", None)
     if camera is not None:
-        return camera.width
-    return source.frame(0).shape[1]
+        return camera.height, camera.width
+    return source.frame(0).shape
 
 
-def _reduce_range(source, cfg: AnalysisConfig, lo: int, hi: int, width: int) -> CoincidenceAccumulator:
+def _stacked_strip_block(
+    source, lo: int, hi: int, rows: tuple[int, int], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``strip_block`` for a source that only offers ``frame(k)``.
+
+    Copies the rows out of each frame, so no full frame outlives its step.
+    """
+    block = np.empty((hi - lo, rows[1] - rows[0], width), dtype=np.uint16)
+    for out, k in zip(block, range(lo, hi)):
+        out[...] = source.frame(k)[rows[0] : rows[1]]
+    return np.arange(lo, hi, dtype=np.int64), block
+
+
+def _block_events(
+    frames: np.ndarray, v0: int, cfg: AnalysisConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-strip photon events of a block as (frame, row, col), by frame.
+
+    ``frames[n]`` holds frame rows v0, v0+1, ...  Same events as
+    ``detect_photons`` frame by frame: each 8-connected patch of at least
+    ``min_patch`` pixels, located at its analog maximum with ties to the
+    smallest (row, col).
+    """
+    binary = frames > cfg.threshold
+    labels, n = ndimage.label(binary, structure=_CONN8_BLOCK)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    pix = np.flatnonzero(binary)
+    lab = labels.ravel()[pix]
+    order = np.lexsort((pix, -frames.ravel()[pix].astype(np.int32), lab))
+    lab = lab[order]
+    head = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+    sizes = np.diff(np.r_[head, lab.size])
+    peaks = np.sort(pix[order[head[sizes >= cfg.min_patch]]])
+    f, rest = np.divmod(peaks, labels[0].size)
+    row, col = np.divmod(rest, frames.shape[2])
+    row += v0
+    inside = (row >= cfg.strip_rows[0]) & (row <= cfg.strip_rows[1])
+    return f[inside], row[inside], col[inside]
+
+
+def _reduce_range(
+    source, cfg: AnalysisConfig, lo: int, hi: int, shape: tuple[int, int], block: int = _BLOCK
+) -> CoincidenceAccumulator:
+    """Reduce frames ``lo..hi-1`` block by block into a new accumulator.
+
+    Equal to ``process_frame`` on every frame, for any block size.  Frames a
+    source leaves out of its ``strip_block`` are blank and count as empty.
+    """
+    height, width = shape
+    rows = _strip_window(cfg, height)
+    strip_block = getattr(source, "strip_block", None)
+    if strip_block is None:
+        strip_block = partial(_stacked_strip_block, source, width=width)
     acc = CoincidenceAccumulator(width)
-    is_blank = getattr(source, "is_blank", None)
-    for k in range(lo, hi):
-        if is_blank is not None and is_blank(k):
-            # an all-zero frame classifies as empty without rendering it
-            acc.frames_total += 1
-            acc.frames_empty += 1
-            continue
-        process_frame(source.frame(k), cfg, acc)
+    acc.frames_total = hi - lo
+    singles = [np.empty(0, dtype=np.int64)]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for b0 in range(lo, hi, block):
+        _, frames = strip_block(b0, min(b0 + block, hi), rows)
+        f, row, col = _block_events(frames, rows[0], cfg)
+        per_frame = np.bincount(f, minlength=len(frames))
+        acc.frames_single += int(np.count_nonzero(per_frame == 1))
+        acc.frames_pair += int(np.count_nonzero(per_frame == 2))
+        acc.frames_multi += int(np.count_nonzero(per_frame > 2))
+        count = per_frame[f]
+        singles.append(col[count == 1])
+        # events come sorted by frame, so a two-event frame is two neighbors
+        r2, c2 = row[count == 2].reshape(-1, 2), col[count == 2].reshape(-1, 2)
+        accept = np.abs(r2[:, 0] - r2[:, 1]) < cfg.ratio * np.abs(c2[:, 0] - c2[:, 1])
+        acc.pairs_rejected += int(np.count_nonzero(~accept))
+        pairs.append(c2[accept])
+    acc.frames_empty = acc.frames_total - acc.frames_single - acc.frames_pair - acc.frames_multi
+    acc.singles += np.bincount(np.concatenate(singles), minlength=width)
+    i, j = np.concatenate(pairs).T
+    cells = np.concatenate([i * width + i, j * width + j, i * width + j, j * width + i])
+    acc.matrix += np.bincount(cells, minlength=width * width).reshape(width, width)
     return acc
 
 
 def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) -> AnalysisResult:
     """Reduce a frame source (BIFR reader or simulator) end to end.
 
+    A source offers ``strip_block(lo, hi, rows)`` or just ``frame(k)``.
     Frames are split into ``workers`` contiguous index ranges, each reduced
-    into a private accumulator, and merged in index order — the result is
-    identical for any worker count.
+    on the calling thread into a private accumulator and merged in index
+    order — the result is identical for any worker count.
     """
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
     cfg = cfg or AnalysisConfig()
     n = len(source)
-    width = _source_width(source) if n else 0
     if n == 0:
         raise EmptyEstimateError("frame source is empty")
+    shape = _source_shape(source)
     bounds = [n * k // workers for k in range(workers + 1)]
-    if workers == 1:
-        total = _reduce_range(source, cfg, 0, n, width)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda io: _reduce_range(source, cfg, io[0], io[1], width),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        total = parts[0]
-        for part in parts[1:]:
-            total.merge(part)
+    total = _reduce_range(source, cfg, bounds[0], bounds[1], shape)
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        total.merge(_reduce_range(source, cfg, lo, hi, shape))
     estimate = finalize(total, cfg)
     _, _, missing = corrected_counts(total, cfg)
-    return AnalysisResult(total, estimate, estimate_marginal(estimate), missing, cfg)
+    return AnalysisResult(total, estimate, marginal_pattern(estimate), missing, cfg)

@@ -7,7 +7,7 @@ route for a 2f detection system, parametrized by the fringe period and a
 single normalized correlation value.  The two routes must agree pointwise
 for 2f kernels; tests rely on that.
 
-Closed forms used (S = pi (x'+x'')/L, D = pi (x'-x''()/L, L the period):
+Closed forms used (S = pi (x'+x'')/L, D = pi (x'-x'')/L, L the period):
 
     G2(x', x'') ∝ |cos S + psi cos D|^2
                = 1 + cos 2S / (1+|psi|^2) + |psi|^2 cos 2D / (1+|psi|^2)

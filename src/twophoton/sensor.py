@@ -94,7 +94,7 @@ def sample_pairs(
     jitter inside each cell.  Returns an (n_pairs, 2) array of positions.
     """
     cdf = _pair_cdf(pdf)
-    return _sample_from_cdf(cdf, pdf.grid, n_pairs, rng)
+    return _sample_from_cdf(cdf, pdf.grid.positions, pdf.grid.spacing, n_pairs, rng)
 
 
 def _pair_cdf(pdf: JointPattern2D) -> np.ndarray:
@@ -110,14 +110,17 @@ def _pair_cdf(pdf: JointPattern2D) -> np.ndarray:
 
 
 def _sample_from_cdf(
-    cdf: np.ndarray, grid: SpatialGrid, n_pairs: int, rng: np.random.Generator
+    cdf: np.ndarray,
+    x: np.ndarray,
+    dx: float,
+    n_pairs: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    n = grid.n
+    """Pairs of cell-center positions ``x`` (spacing ``dx``) drawn by ``cdf``."""
+    n = x.size
     flat = np.searchsorted(cdf, rng.random(n_pairs), side="right")
     flat = np.minimum(flat, n * n - 1)
     i, j = np.divmod(flat, n)
-    x = grid.positions
-    dx = grid.spacing
     jitter = rng.uniform(-dx / 2, dx / 2, size=(n_pairs, 2))
     return np.column_stack([x[i], x[j]]) + jitter
 
@@ -144,14 +147,28 @@ def render_frame(
     camera: CameraModel,
     rng: np.random.Generator,
     n_dark: int = 0,
+    rows: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Render photon events and dark spikes into a uint16 analog frame.
 
     Each event deposits a patch whose maximum sits at the event pixel with
     strictly smaller neighbors; overlapping deposits combine by maximum.
     Dark events are single pixels drawn uniformly over the frame.
+
+    ``rows = (v0, v1)`` renders only frame rows v0..v1-1: the random draws
+    are those of the whole frame, so the result equals ``frame[v0:v1]`` of
+    the full rendering bit for bit.  The default window is the whole frame.
+    ``out``, if given, is a zeroed uint16 array of the window's shape that
+    receives the rendering.
     """
-    frame = np.zeros((camera.height, camera.width), dtype=np.uint16)
+    v0, v1 = (0, camera.height) if rows is None else rows
+    if not 0 <= v0 <= v1 <= camera.height:
+        raise InvalidParameterError(f"row window {rows} outside the frame")
+    if out is None:
+        out = np.zeros((v1 - v0, camera.width), dtype=np.uint16)
+    elif out.shape != (v1 - v0, camera.width) or out.dtype != np.uint16:
+        raise InvalidParameterError("out must be a uint16 array of the window's shape")
     half = camera.patch_size // 2
     for ev in events:
         if not (0 <= ev.row < camera.height and 0 <= ev.col < camera.width):
@@ -161,14 +178,17 @@ def render_frame(
         c0, c1 = max(ev.col - half, 0), min(ev.col + half, camera.width - 1)
         patch = rng.uniform(*camera.neighbor_range, size=(r1 - r0 + 1, c1 - c0 + 1)) * peak
         patch[ev.row - r0, ev.col - c0] = peak
-        region = frame[r0 : r1 + 1, c0 : c1 + 1]
-        np.maximum(region, patch.astype(np.uint16), out=region)
+        a, b = max(r0, v0), min(r1 + 1, v1)
+        if a < b:
+            region = out[a - v0 : b - v0, c0 : c1 + 1]
+            np.maximum(region, patch[a - r0 : b - r0].astype(np.uint16), out=region)
     for _ in range(n_dark):
         r = rng.integers(0, camera.height)
         c = rng.integers(0, camera.width)
         level = int(rng.uniform(0.3, 1.0) * FULL_SCALE)
-        frame[r, c] = max(frame[r, c], level)
-    return frame
+        if v0 <= r < v1:
+            out[r - v0, c] = max(out[r - v0, c], level)
+    return out
 
 
 @dataclass
@@ -187,11 +207,13 @@ class FrameSimulator:
     mean_pairs: float
     seed: int
     _cdf: np.ndarray = field(init=False, repr=False)
+    _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_frames < 0 or self.mean_pairs < 0:
             raise InvalidParameterError("frame count and pair rate must be >= 0")
         self._cdf = _pair_cdf(self.pattern)
+        self._positions = self.pattern.grid.positions
 
     def __len__(self) -> int:
         return self.n_frames
@@ -212,7 +234,9 @@ class FrameSimulator:
         n_pairs = int(rng.poisson(self.mean_pairs))
         events: list[PhotonEvent] = []
         if n_pairs > 0:
-            positions = _sample_from_cdf(self._cdf, self.pattern.grid, n_pairs, rng)
+            positions = _sample_from_cdf(
+                self._cdf, self._positions, self.pattern.grid.spacing, n_pairs, rng
+            )
             surviving = apply_detection(positions, cam.quantum_efficiency, rng)
             if surviving.size:
                 cols = cam.position_to_col(surviving)
@@ -225,10 +249,23 @@ class FrameSimulator:
         events, n_dark, rng = self.frame_events(k)
         return render_frame(events, self.camera, rng, n_dark)
 
-    def is_blank(self, k: int) -> bool:
-        """True when frame ``k`` renders all-zero (no events, no darks)."""
-        events, n_dark, _ = self.frame_events(k)
-        return not events and n_dark == 0
+    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows = (v0, v1)`` of the non-blank frames in ``[lo, hi)``.
+
+        Returns the indices of the frames that hold a photon or dark event
+        and a ``uint16[n, v1 - v0, width]`` array of their rows, equal to
+        ``frame(k)[v0:v1]`` bit for bit.  Each frame's events are drawn
+        once; blank frames are not rendered at all.
+        """
+        cam = self.camera
+        block = np.zeros((max(hi - lo, 0), rows[1] - rows[0], cam.width), dtype=np.uint16)
+        indices = []
+        for k in range(lo, hi):
+            events, n_dark, rng = self.frame_events(k)
+            if events or n_dark:
+                render_frame(events, cam, rng, n_dark, rows=rows, out=block[len(indices)])
+                indices.append(k)
+        return np.array(indices, dtype=np.int64), block[: len(indices)]
 
     def iter_frames(self, start: int = 0, stop: int | None = None):
         stop = self.n_frames if stop is None else stop
@@ -245,16 +282,3 @@ class FrameSimulator:
             self.n_frames,
         )
 
-
-def generate_run(
-    pattern: JointPattern2D,
-    camera: CameraModel,
-    n_frames: int,
-    mean_pairs_per_frame: float,
-    seed: int,
-    path: str | Path,
-) -> FrameSimulator:
-    """Generate a frame stream and write it to ``path``; returns the simulator."""
-    sim = FrameSimulator(pattern, camera, n_frames, mean_pairs_per_frame, seed)
-    sim.write(path)
-    return sim

@@ -8,7 +8,9 @@ import pytest
 
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
-from twophoton.frameio import HEADER_SIZE, read_pattern_csv
+from twophoton.experiment import recover_visibilities
+from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv
+from twophoton.framepipe import AnalysisConfig, analyze_source
 from twophoton.optics import SpatialGrid
 from twophoton.patterns import FringePattern1D, JointPattern2D
 from twophoton.visibility import fit_fringe_visibility, fit_joint_visibility
@@ -134,6 +136,16 @@ class TestAnalyze:
         for name in ("estimate.csv", "estimate_marginal.csv", "singles_histogram.csv"):
             assert (out / name).exists()
         assert "V1m" in capsys.readouterr().out
+
+    def test_camera_efficiency_reaches_accidental_correction(self, tmp_path):
+        cfg = write_config(tmp_path / "qe.cfg", quantum_efficiency=0.3, n_frames=1500, seed=4)
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "frames.bifr"), "--config", cfg, "--out", str(out)]) == 0
+        result = analyze_source(FrameFileReader(run / "frames.bifr"), AnalysisConfig())
+        want = {qe: recover_visibilities(result, PERIOD, qe).v12 for qe in (0.3, 0.5)}
+        assert want[0.3] != want[0.5]
+        assert json.loads((out / "analysis.json").read_text())["v12"] == want[0.3]
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bifr"), "--out", str(tmp_path)]) == 3

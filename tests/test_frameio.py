@@ -129,6 +129,24 @@ class TestWriteRead:
         with pytest.raises(FrameFormatError):
             FrameFileReader(p)
 
+    def test_strip_block_reads_rows(self, tmp_path):
+        frames = make_frames(7)
+        path = tmp_path / "f.bifr"
+        write_frames(path, 8, 6, frames, 7)
+        indices, block = FrameFileReader(path).strip_block(2, 6, (1, 4))
+        assert indices.tolist() == [2, 3, 4, 5]
+        assert block.shape == (4, 3, 8)
+        assert np.array_equal(block, np.stack([f[1:4] for f in frames[2:6]]))
+
+    def test_strip_block_out_of_range(self, tmp_path):
+        path = tmp_path / "f.bifr"
+        write_frames(path, 8, 6, make_frames(3), 3)
+        reader = FrameFileReader(path)
+        with pytest.raises(IndexError):
+            reader.strip_block(1, 4, (0, 6))
+        with pytest.raises(IndexError):
+            reader.strip_block(0, 3, (2, 7))
+
     def test_frame_index_out_of_range(self, tmp_path):
         p = tmp_path / "r.bifr"
         write_frames(p, 8, 6, iter(make_frames(2)), 2)
@@ -166,6 +184,24 @@ class TestCsvAndPgm:
         assert len(lines) == 5
         data = np.loadtxt(p, delimiter=",", skiprows=1)
         assert np.allclose(data[:, 2], [0, 1, 2, 3])
+
+    def test_joint_csv_bytes_match_reference_loop(self, tmp_path):
+        def reference(path, positions, values):
+            with open(path, "w") as f:
+                f.write("x_m,y_m,value\n")
+                for i, x in enumerate(positions):
+                    for j, y in enumerate(positions):
+                        f.write(f"{x:.9e},{y:.9e},{values[i, j]:.9e}\n")
+
+        rng = np.random.default_rng(12)
+        n = 24
+        x = np.linspace(-3e-3, 3e-3, n)
+        v = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+        v.flat[:7] = [0.0, -0.0, -1.5, 1e-300, -1e300, 1.7976931348623157e308, 5e-324]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_joint_csv(fast, x, v)
+        reference(slow, x, v)
+        assert fast.read_bytes() == slow.read_bytes()
 
     def test_pgm_header_and_range(self, tmp_path):
         p = tmp_path / "img.pgm"

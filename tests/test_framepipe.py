@@ -1,8 +1,11 @@
 """Frame reduction: detection, classification, accumulation, estimation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
@@ -24,6 +27,7 @@ from twophoton.framepipe import (
     superpixel_bin,
     threshold_frame,
     vertical_acceptance,
+    _reduce_range,
 )
 from twophoton.sensor import (
     FULL_SCALE,
@@ -97,6 +101,13 @@ class TestThresholdAndDetect:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             detect_photons(np.zeros((4, 4), np.uint8), np.zeros((5, 4)))
+
+    def test_tied_peak_resolves_to_smallest_row_col(self):
+        analog = np.zeros((6, 8), dtype=np.uint16)
+        analog[1:5, 2:7] = 30_000
+        analog[3, 2] = analog[2, 5] = analog[4, 6] = 50_000
+        (event,) = detect_photons(threshold_frame(analog, 10_000), analog)
+        assert (event.row, event.col, event.peak) == (2, 5, 50_000)
 
 
 class TestClassifyAndFilter:
@@ -375,6 +386,18 @@ class TestRates:
         f = accidental_fraction(m, eta)
         assert 0.0 <= f < 1.0
 
+    @pytest.mark.parametrize("m, eta", [(60.0, 0.05), (60.0, 0.5), (200.0, 0.02)])
+    def test_accidental_fraction_large_mean_matches_long_sum(self, m, eta):
+        k = np.arange(1, 4001)
+        log_p = k * np.log(m) - m - np.array([math.lgamma(x + 1) for x in k])
+        w = np.exp(log_p) * (1 - eta) ** (2 * k - 2)
+        want = np.sum(w * 2 * k * (k - 1)) / np.sum(w * k * (2 * k - 1))
+        assert accidental_fraction(m, eta) == pytest.approx(want, rel=1e-12)
+
+    def test_accidental_fraction_rejects_bad_efficiency(self):
+        with pytest.raises(InvalidParameterError):
+            accidental_fraction(0.5, 1.5)
+
     def test_accidental_fraction_two_pair_frame(self):
         # conditioned on k = 2: 2 true subsets of 6 -> 2/3 accidental
         f_lo = accidental_fraction(1e-6, 1.0)
@@ -431,3 +454,76 @@ class TestAnalyzeSource:
     def test_invalid_workers(self):
         with pytest.raises(InvalidParameterError):
             analyze_source(self.make_sim(), AnalysisConfig(), workers=0)
+
+
+def accumulator_key(acc):
+    counters = (acc.frames_total, acc.frames_empty, acc.frames_single,
+                acc.frames_pair, acc.frames_multi, acc.pairs_rejected)
+    return counters, acc.matrix.tobytes(), acc.singles.tobytes()
+
+
+def per_frame_reference(frames, cfg, width):
+    acc = CoincidenceAccumulator(width)
+    for frame in frames:
+        process_frame(frame, cfg, acc)
+    return acc
+
+
+class FrameList:
+    """A source offering only ``frame(k)``."""
+
+    def __init__(self, frames):
+        self.frames = frames
+
+    def __len__(self):
+        return len(self.frames)
+
+    def frame(self, k):
+        return self.frames[k]
+
+
+class TestBlockReduction:
+    @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
+    def test_block_sizes_match_per_frame_reference(self, mean_pairs):
+        sim = FrameSimulator(uniform_pdf(), CameraModel(), 300, mean_pairs, seed=21)
+        cfg = AnalysisConfig.from_camera(sim.camera)
+        shape = (sim.camera.height, sim.camera.width)
+        want = accumulator_key(per_frame_reference(sim.iter_frames(), cfg, shape[1]))
+        for block in (1, 7, 64, 256):
+            assert accumulator_key(_reduce_range(sim, cfg, 0, 300, shape, block)) == want
+
+    def test_subrange(self):
+        sim = FrameSimulator(uniform_pdf(), CameraModel(), 120, 2.0, seed=22)
+        cfg = AnalysisConfig.from_camera(sim.camera)
+        frames = [sim.frame(k) for k in range(37, 101)]
+        got = _reduce_range(sim, cfg, 37, 101, (512, 512), 16)
+        assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, cfg, 512))
+
+    def test_blank_blocks_count_as_empty(self):
+        sim = FrameSimulator(uniform_pdf(), CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
+        cfg = AnalysisConfig.from_camera(sim.camera)
+        acc = _reduce_range(sim, cfg, 0, 100, (512, 512), 16)
+        assert acc.frames_total == acc.frames_empty == 100
+        assert acc.matrix.sum() == acc.singles.sum() == 0
+
+    # few levels around the threshold make tied peaks, merged patches, dark
+    # single pixels and components at the min_patch boundary common
+    @given(
+        frames=arrays(
+            np.uint16,
+            st.tuples(st.integers(1, 12), st.just(12), st.just(16)),
+            elements=st.sampled_from([0, 0, 0, 0, 0, 0, 100, 101, 150, 200]),
+        ),
+        min_patch=st.integers(1, 6),
+        ratio=st.sampled_from([1.0 / 3.0, 0.5, 1.0, 4.0]),
+        block=st.integers(1, 13),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_strips_match_process_frame(self, frames, min_patch, ratio, block):
+        # the window is rows 1..9 of 12: patches cross both the strip edge
+        # (rows 3 and 7) and the window edge
+        cfg = AnalysisConfig(threshold=100, min_patch=min_patch, patch_size=3,
+                             strip_rows=(3, 7), ratio=ratio)
+        got = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), (12, 16), block)
+        want = per_frame_reference(frames, cfg, 16)
+        assert accumulator_key(got) == accumulator_key(want)

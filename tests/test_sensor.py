@@ -156,6 +156,27 @@ class TestRenderFrame:
         with pytest.raises(InvalidParameterError):
             render_frame([PhotonEvent(600, 0)], cam, np.random.default_rng(0))
 
+    def test_row_window_matches_full_frame(self):
+        cam = CameraModel()
+        events = [PhotonEvent(0, 5), PhotonEvent(10, 511), PhotonEvent(11, 100), PhotonEvent(511, 3)]
+        full = render_frame(events, cam, np.random.default_rng(3), n_dark=60)
+        for rows in [(0, 512), (9, 13), (10, 11), (12, 12), (500, 512)]:
+            part = render_frame(events, cam, np.random.default_rng(3), n_dark=60, rows=rows)
+            assert np.array_equal(part, full[rows[0] : rows[1]])
+        out = np.zeros((4, 512), np.uint16)
+        assert render_frame(events, cam, np.random.default_rng(3), 60, (9, 13), out) is out
+        assert np.array_equal(out, full[9:13])
+
+    def test_row_window_validated(self):
+        cam = CameraModel()
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParameterError):
+            render_frame([], cam, rng, rows=(5, 3))
+        with pytest.raises(InvalidParameterError):
+            render_frame([], cam, rng, rows=(0, 513))
+        with pytest.raises(InvalidParameterError):
+            render_frame([], cam, rng, rows=(0, 4), out=np.zeros((5, 512), np.uint16))
+
     def test_dark_events_single_pixel(self):
         cam = CameraModel()
         frame = render_frame([], cam, np.random.default_rng(6), n_dark=5)
@@ -195,10 +216,32 @@ class TestFrameSimulator:
         r0, r1 = sim.camera.strip_rows
         assert all(r0 <= e.row <= r1 for e in events)
 
-    def test_is_blank_matches_rendered_frame(self):
+    def test_strip_block_indices_are_nonblank_frames(self):
         sim = self.make_sim(mean_pairs=0.2)
-        for k in range(100):
-            assert sim.is_blank(k) == (sim.frame(k).max() == 0)
+        indices, block = sim.strip_block(0, 100, (0, sim.camera.height))
+        assert set(indices.tolist()) == {k for k in range(100) if sim.frame(k).max() > 0}
+        assert block.shape == (len(indices), sim.camera.height, sim.camera.width)
+
+    def test_strip_block_equals_frame_rows(self):
+        sim = self.make_sim(mean_pairs=3.0)
+        indices, block = sim.strip_block(5, 45, (238, 274))
+        assert block.dtype == np.uint16 and block.shape == (len(indices), 36, 512)
+        assert len(indices) > 30
+        for k, strip in zip(indices, block):
+            assert np.array_equal(strip, sim.frame(int(k))[238:274])
+
+    def test_strip_block_draws_each_frame_once(self, monkeypatch):
+        sim = self.make_sim(mean_pairs=1.0)
+        drawn = []
+        original = FrameSimulator.frame_events
+
+        def counting(self, k):
+            drawn.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(FrameSimulator, "frame_events", counting)
+        sim.strip_block(10, 60, (240, 272))
+        assert drawn == list(range(10, 60))
 
     def test_write_roundtrip(self, tmp_path):
         from twophoton.frameio import FrameFileReader
