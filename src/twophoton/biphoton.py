@@ -1,7 +1,8 @@
 """Slit-plane coherence function and two-photon wavefunction.
 
-Both are rectangle-rule quadratures of the pump profile against the
-illumination kernel rows at the two slits:
+Both are rectangle-rule quadratures over the pump grid of the pump profile
+against the two illumination kernel rows h1(xi, .), each averaged over its
+slit (``optics.slit_averaged_rows`` gives them in closed form):
 
     G(xi, xj) = sum_x I_p(x) conj(h1(xi, x)) h1(xj, x) dx
     Psi(xi, xj) = sum_x E_p(x) h1(xi, x) h1(xj, x) dx
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSourceError, InvalidParameterError, NormalizationError
-from .optics import LinearKernel, SlitPair, SpatialGrid, slit_rows
+from .optics import SpatialGrid
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,23 @@ class PumpProfile:
         return cls("gaussian", width, grid, np.exp(-4 * (x / width) ** 2) + 0j)
 
 
+def _check_rows(pump: PumpProfile, r1: np.ndarray, r2: np.ndarray) -> None:
+    if np.shape(r1) != (pump.grid.n,) or np.shape(r2) != (pump.grid.n,):
+        raise InvalidParameterError("slit rows must be sampled on the pump grid")
+
+
 def coherence_at_slits(
-    pump: PumpProfile, h1: LinearKernel, slits: SlitPair
+    pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
 ) -> tuple[float, float, complex]:
-    """Second-order coherence values (G11, G22, G12) at the slit plane."""
-    if pump.grid != h1.grid_in:
-        raise InvalidParameterError("pump grid must equal the kernel input grid")
+    """Second-order coherence values (G11, G22, G12) at the slit plane.
+
+    ``r1`` and ``r2`` are the illumination kernel rows at the two slits on
+    the pump grid.
+    """
+    _check_rows(pump, r1, r2)
     ip = pump.intensity
     if not np.any(ip):
         raise DegenerateSourceError("pump intensity is identically zero")
-    r1, r2 = slit_rows(h1, slits)
     dx = pump.grid.spacing
     g11 = float(np.sum(ip * np.abs(r1) ** 2) * dx)
     g22 = float(np.sum(ip * np.abs(r2) ** 2) * dx)
@@ -85,13 +93,11 @@ def coherence_at_slits(
 
 
 def biphoton_at_slits(
-    pump: PumpProfile, h1: LinearKernel, slits: SlitPair
+    pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
 ) -> tuple[complex, complex, complex]:
     """Two-photon wavefunction values (P11, P22, P12) at the slit plane."""
-    if pump.grid != h1.grid_in:
-        raise InvalidParameterError("pump grid must equal the kernel input grid")
+    _check_rows(pump, r1, r2)
     ep = pump.fields
-    r1, r2 = slit_rows(h1, slits)
     dx = pump.grid.spacing
     p11 = complex(np.sum(ep * r1 * r1) * dx)
     p22 = complex(np.sum(ep * r2 * r2) * dx)
@@ -176,10 +182,11 @@ class ApertureCorrelations:
 
     @classmethod
     def from_pump(
-        cls, pump: PumpProfile, h1: LinearKernel, slits: SlitPair
+        cls, pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
     ) -> "ApertureCorrelations":
-        g11, g22, g12 = coherence_at_slits(pump, h1, slits)
-        p11, p22, p12 = biphoton_at_slits(pump, h1, slits)
+        """Correlations of ``pump`` through the slit rows ``r1``, ``r2``."""
+        g11, g22, g12 = coherence_at_slits(pump, r1, r2)
+        p11, p22, p12 = biphoton_at_slits(pump, r1, r2)
         return cls(g11, g22, g12, p11, p22, p12)
 
     @property

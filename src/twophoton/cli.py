@@ -56,7 +56,7 @@ _CONFIG_FLOATS = (
     "focal_length",
     "mean_pairs",
 )
-_CONFIG_INTS = ("pump_grid_n", "slit_grid_n", "n_frames", "seed")
+_CONFIG_INTS = ("pump_grid_n", "n_frames", "seed")
 _CONFIG_STRS = ("mode", "pump_shape")
 _CAMERA_FLOATS = ("quantum_efficiency", "threshold", "dark_rate", "pitch")
 

@@ -22,7 +22,14 @@ from .framepipe import (
     estimate_pair_rate,
     vertical_acceptance,
 )
-from .optics import LinearKernel, SlitPair, SpatialGrid, fourier_2f_kernel, fresnel_kernel
+from .optics import (
+    LinearKernel,
+    SlitPair,
+    SpatialGrid,
+    fourier_2f_kernel,
+    fresnel_kernel,
+    slit_averaged_rows,
+)
 from .patterns import (
     FringePattern1D,
     JointPattern2D,
@@ -50,7 +57,10 @@ class ExperimentConfig:
 
     Defaults reproduce the reference double-slit geometry: 0.70 mm slit
     separation, 0.35 mm slit width, 50 mm detection focal length, 812 nm,
-    a 2 mm uniform source, and a 240,000-frame run.
+    a 2 mm uniform source, and a 240,000-frame run.  ``pump_grid_n`` is the
+    only quadrature size: the slit-plane correlations integrate the pump on
+    that grid against illumination rows that are exact averages over each
+    slit, so no slit-plane grid enters psi.
     """
 
     pump_width: float = 2e-3
@@ -62,7 +72,6 @@ class ExperimentConfig:
     wavelength: float = 812e-9
     focal_length: float = 50e-3
     pump_grid_n: int = 4096
-    slit_grid_n: int = 1025
     camera: CameraModel = field(default_factory=CameraModel)
     n_frames: int = 240_000
     mean_pairs: float = 0.5
@@ -94,35 +103,34 @@ class ExperimentConfig:
     def slits(self) -> SlitPair:
         return SlitPair(self.slit_separation, self.slit_width)
 
-    def slit_grid(self) -> SpatialGrid:
-        """Slit-plane grid covering both slits with a margin.
+    def illumination_kernel(self, grid: SpatialGrid, d: float | None = None) -> LinearKernel:
+        """Sampled source-to-slit kernel from the pump grid onto ``grid``.
 
-        The spacing is chosen so the slit centers +-a/2 fall exactly on grid
-        nodes (the zero-width slit case samples the kernel at the nearest
-        node, so off-node centers would shift the effective separation).
+        The grid route that ``correlations`` replaces with closed-form slit
+        rows; kept as the oracle those rows are tested against.
         """
-        n = self.slit_grid_n | 1  # symmetric grid needs a center node
-        pad = max(self.slit_width, self.slit_separation / 8)
-        half_target = self.slit_separation / 2 + pad
-        k = max(1, round((n - 1) / 2 * (self.slit_separation / 2) / half_target))
-        spacing = (self.slit_separation / 2) / k
-        half = spacing * (n - 1) / 2
-        return SpatialGrid(-half, half, n)
+        d = self._distance(d)
+        pump_grid = self.pump().grid
+        if self.mode == "fourier-2f":
+            return fourier_2f_kernel(pump_grid, grid, self.wavelength, self.focal_length)
+        return fresnel_kernel(pump_grid, grid, self.wavelength, d)
 
-    def illumination_kernel(self, d: float | None = None) -> LinearKernel:
-        """Source-to-slit propagation kernel for the configured mode."""
+    def correlations(self, d: float | None = None) -> ApertureCorrelations:
+        """Slit-plane correlations, from the closed-form slit-averaged rows."""
+        d = self._distance(d)
+        pump = self.pump()
+        if self.mode == "fourier-2f":
+            length = {"focal_length": self.focal_length}
+        else:
+            length = {"distance": d}
+        r1, r2 = slit_averaged_rows(pump.grid, self.slits(), self.wavelength, **length)
+        return ApertureCorrelations.from_pump(pump, r1, r2)
+
+    def _distance(self, d: float | None) -> float:
         d = self.distance if d is None else d
         if d <= 0:
             raise InvalidParameterError("source-slit distance must be positive")
-        pump_grid = self.pump().grid
-        if self.mode == "fourier-2f":
-            return fourier_2f_kernel(pump_grid, self.slit_grid(), self.wavelength, self.focal_length)
-        return fresnel_kernel(pump_grid, self.slit_grid(), self.wavelength, d)
-
-    def correlations(self, d: float | None = None) -> ApertureCorrelations:
-        return ApertureCorrelations.from_pump(
-            self.pump(), self.illumination_kernel(d), self.slits()
-        )
+        return d
 
     def detector_grid(self) -> SpatialGrid:
         return self.camera.pixel_grid()

@@ -6,6 +6,12 @@ propagator and the Fourier-transforming lens in 2f configuration; a
 double-slit plane composes two kernels into a two-path system response.
 All kernels drop constant prefactors: every downstream quantity is
 normalized, so only relative phase and amplitude matter.
+
+The slit-plane correlations only read the illumination kernel averaged over
+each slit; ``slit_averaged_rows`` gives those two rows in closed form.  The
+sampled kernels and ``slit_rows`` remain as the grid route it is tested
+against, and ``slit_columns`` / ``compose_two_path`` serve the general
+detection routes.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import CompositionError, InvalidParameterError, OutOfRangeError
 
@@ -163,6 +170,53 @@ def fresnel_kernel(
     dx = grid_out.positions[:, None] - grid_in.positions[None, :]
     phase = np.pi * dx * dx / (wavelength * distance)
     return LinearKernel(grid_in, grid_out, np.exp(1j * phase))
+
+
+def slit_averaged_rows(
+    grid_in: SpatialGrid,
+    slits: SlitPair,
+    wavelength: float,
+    *,
+    distance: float | None = None,
+    focal_length: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Illumination kernel rows averaged over each slit, in closed form.
+
+    The exact values of (1/w) * integral of h(x_s + t, x) over |t| <= w/2
+    at the slit centers x_s = -+a/2, on the nodes of ``grid_in``, for the
+    kernels of ``fresnel_kernel`` (pass ``distance``) or
+    ``fourier_2f_kernel`` (pass ``focal_length``), with u = sqrt(2/(wavelength d))
+    (x_s +- w/2 - x) and C, S the Fresnel integrals:
+
+        Fresnel  (1/w) sqrt(wavelength d / 2) [C(u2) - C(u1) + i (S(u2) - S(u1))]
+        2f       exp(-2 pi i x_s x / (wavelength f)) sinc(w x / (wavelength f))
+
+    Thin slits (w = 0) give the pointwise kernel at the centers.  Valid for
+    wavelength > 0, distance or focal length > 0, and 0 <= w < a (which
+    ``SlitPair`` enforces); outside that it raises InvalidParameterError.
+    """
+    if (distance is None) == (focal_length is None):
+        raise InvalidParameterError("pass exactly one of distance and focal_length")
+    if not wavelength > 0:
+        raise InvalidParameterError("wavelength must be positive")
+    length = distance if focal_length is None else focal_length
+    if not length > 0:
+        name = "propagation distance" if focal_length is None else "focal length"
+        raise InvalidParameterError(f"{name} must be positive")
+    x = grid_in.positions
+    w = slits.width
+    scale = wavelength * length
+    rows = []
+    for c in (slits.x1, slits.x2):
+        if focal_length is not None:
+            rows.append(np.exp(-2j * np.pi * c * x / scale) * np.sinc(w * x / scale))
+        elif w == 0.0:
+            rows.append(np.exp(1j * np.pi * (c - x) ** 2 / scale))
+        else:
+            s1, c1 = special.fresnel(np.sqrt(2 / scale) * (c - w / 2 - x))
+            s2, c2 = special.fresnel(np.sqrt(2 / scale) * (c + w / 2 - x))
+            rows.append(np.sqrt(scale / 2) / w * ((c2 - c1) + 1j * (s2 - s1)))
+    return rows[0], rows[1]
 
 
 def _slit_indices(grid: SpatialGrid, center: float, width: float) -> np.ndarray:

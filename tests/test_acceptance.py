@@ -71,7 +71,9 @@ def test_criterion_4_general_routes_match_closed_forms():
     config = two_f_config(0.5 * LAMBDA * FOCAL / A)
     corr = config.correlations()
     det = SpatialGrid(-4 * PERIOD, 4 * PERIOD, 256)
-    h2 = fourier_2f_kernel(config.slit_grid(), det, LAMBDA, FOCAL)
+    # slit-plane grid with the thin slits' centers -+A/2 on nodes 10 and 30
+    slit_plane = SpatialGrid(-A, A, 41)
+    h2 = fourier_2f_kernel(slit_plane, det, LAMBDA, FOCAL)
 
     gen_i = intensity_general(h2, corr, config.slits())
     closed_i = single_photon_pattern(float(np.real(corr.g1)), PERIOD, det)

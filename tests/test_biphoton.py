@@ -18,7 +18,7 @@ from twophoton.errors import (
     InvalidParameterError,
     NormalizationError,
 )
-from twophoton.optics import SlitPair, SpatialGrid, fourier_2f_kernel
+from twophoton.optics import SlitPair, SpatialGrid, fourier_2f_kernel, slit_rows
 
 LAMBDA = 812e-9
 FOCAL = 50e-3
@@ -122,9 +122,11 @@ class TestCorrelationStructure:
         assert abs(corr.p11 - corr.p22) < 1e-9 * abs(corr.p11)
 
     def test_grid_mismatch_rejected(self):
+        # rows sampled on a grid other than the pump's
         pump = PumpProfile.uniform(2e-3, 64)
-        other = SpatialGrid(-1e-3, 1e-3, 64)
-        slit_grid = SpatialGrid(-0.5e-3, 0.5e-3, 41)
+        other = SpatialGrid(-1e-3, 1e-3, 63)
+        slit_grid = SpatialGrid(-0.5e-3, 0.5e-3, 41)  # -+A/2 on nodes 6 and 34
         h1 = fourier_2f_kernel(other, slit_grid, LAMBDA, FOCAL)
+        r1, r2 = slit_rows(h1, SlitPair(A))
         with pytest.raises(InvalidParameterError):
-            ApertureCorrelations.from_pump(pump, h1, SlitPair(A))
+            ApertureCorrelations.from_pump(pump, r1, r2)

@@ -21,7 +21,7 @@ from twophoton.framepipe import AnalysisConfig, analyze_source
 
 BIFR_200 = "fd71c93648a97dbeb28568d25693f66791eafdc9fd64d4d79709c63f4ce5ab23"
 STREAM_PSI_06 = "4205914a9b641c4e4f9ee654eba18b4bcf0fbe4c8ab3020e7696f86fddb5cda0"
-STREAM_BRIGHT_DEFAULT = "48dd100b429eba62ad2eb0b1c387f724b28625cc96f0f6157991f6ec9c19c509"
+STREAM_BRIGHT_DEFAULT = "2e482e04c1c48c27358027580f8cfb1ee45ff55d90bbe2787f77b038a703cb72"
 
 
 def accumulator_digest(acc) -> str:

@@ -1,12 +1,18 @@
-"""Experiment orchestration: distances and the accidental correction's inputs."""
+"""Experiment orchestration: distances, the closed-form slit rows against
+the grid route, and the accidental correction's inputs."""
 
 import numpy as np
 import pytest
 
 import twophoton as tp
+from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import InvalidParameterError
 from twophoton.framepipe import accidental_fraction, estimate_pair_rate
+from twophoton.optics import SpatialGrid, slit_averaged_rows, slit_rows
 from twophoton.sensor import CameraModel
+
+DISTANCES = [0.055, 0.063, 0.30, 0.54, 0.87]
+MODES = ["fresnel", "fourier-2f"]
 
 
 @pytest.mark.parametrize("d", [0.0, -0.1])
@@ -25,3 +31,67 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
     eps = accidental_fraction(estimate_pair_rate(acc, 0.3), 0.3)
     assert closure.recovered.accidentals == eps
     assert not np.isclose(eps, accidental_fraction(estimate_pair_rate(acc, 0.5), 0.5))
+
+
+def closed_rows(config, d):
+    pump_grid = config.pump().grid
+    if config.mode == "fourier-2f":
+        return slit_averaged_rows(pump_grid, config.slits(), config.wavelength, focal_length=config.focal_length)
+    return slit_averaged_rows(pump_grid, config.slits(), config.wavelength, distance=d)
+
+
+def slit_plane(config, k):
+    """Slit-plane grid with k intervals per half separation, wide enough for
+    both slits: slit centers and edges of the default geometry on nodes."""
+    slits = config.slits()
+    h = slits.x2 / k
+    half = h * np.ceil((slits.x2 + slits.width / 2) / h)
+    return SpatialGrid(-half, half, int(round(2 * half / h)) + 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grid_rows_converge_to_closed_form(mode):
+    # averaging a slit over grid nodes is a first-order rule: the error
+    # halves with the spacing
+    config = tp.ExperimentConfig(mode=mode)
+    want = closed_rows(config, 0.3)
+    errors = []
+    for k in (32, 64, 128, 256):
+        grid = slit_rows(config.illumination_kernel(slit_plane(config, k), 0.3), config.slits())
+        errors.append(max(np.abs(g - w).max() / np.abs(w).max() for g, w in zip(grid, want)))
+    ratios = np.array(errors[1:]) / np.array(errors[:-1])
+    assert np.all((ratios > 0.4) & (ratios < 0.6)), (errors, ratios)
+    assert errors[-1] < 1e-2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_thin_slit_rows_are_the_pointwise_kernel(mode):
+    config = tp.ExperimentConfig(mode=mode, slit_width=0.0)
+    grid = slit_rows(config.illumination_kernel(slit_plane(config, 8), 0.3), config.slits())
+    for g, w in zip(grid, closed_rows(config, 0.3)):
+        assert np.abs(g - w).max() < 1e-9
+
+
+def grid_psi(config, d, nodes):
+    """psi from the grid route, each slit's row the mean of the sampled kernel
+    over ``nodes`` equally spaced nodes spanning the slit, edges included.
+
+    The former 1025- and 4097-node slit-plane grids put 257 and 1025 nodes
+    inside each slit of the default geometry; only those nodes enter the
+    rows, so the kernel is sampled on them alone.
+    """
+    slits, w = config.slits(), config.slit_width
+    rows = [
+        config.illumination_kernel(SpatialGrid(c - w / 2, c + w / 2, nodes), d).values.mean(axis=0)
+        for c in (slits.x1, slits.x2)
+    ]
+    return ApertureCorrelations.from_pump(config.pump(), *rows).psi_effective
+
+
+@pytest.mark.parametrize("d", DISTANCES)
+@pytest.mark.parametrize("mode", MODES)
+def test_closed_form_psi_matches_richardson_limit_of_grid(mode, d):
+    config = tp.ExperimentConfig(mode=mode)
+    psi_1025, psi_4097 = grid_psi(config, d, 257), grid_psi(config, d, 1025)
+    richardson = psi_4097 + (psi_4097 - psi_1025) / 3
+    assert abs(tp.analytic_summary(config, d).psi - richardson) <= 1e-5

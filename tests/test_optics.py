@@ -12,6 +12,7 @@ from twophoton.optics import (
     compose_two_path,
     fourier_2f_kernel,
     fresnel_kernel,
+    slit_averaged_rows,
     slit_columns,
     slit_rows,
 )
@@ -157,3 +158,39 @@ class TestComposeTwoPath:
         h2 = fourier_2f_kernel(plane_b, gout, LAMBDA, FOCAL)
         with pytest.raises(CompositionError):
             compose_two_path(h1, h2, SlitPair(0.7e-3))
+
+
+class TestSlitAveragedRows:
+    grid = SpatialGrid(-1e-3, 1e-3, 64)
+
+    def test_wavelength_must_be_positive(self):
+        for wl in (0.0, -LAMBDA, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                slit_averaged_rows(self.grid, SlitPair(0.7e-3, 0.1e-3), wl, distance=0.3)
+
+    def test_distance_and_focal_length_must_be_positive(self):
+        slits = SlitPair(0.7e-3, 0.1e-3)
+        for v in (0.0, -0.3):
+            with pytest.raises(InvalidParameterError):
+                slit_averaged_rows(self.grid, slits, LAMBDA, distance=v)
+            with pytest.raises(InvalidParameterError):
+                slit_averaged_rows(self.grid, slits, LAMBDA, focal_length=v)
+
+    def test_exactly_one_length(self):
+        slits = SlitPair(0.7e-3, 0.1e-3)
+        with pytest.raises(InvalidParameterError):
+            slit_averaged_rows(self.grid, slits, LAMBDA)
+        with pytest.raises(InvalidParameterError):
+            slit_averaged_rows(self.grid, slits, LAMBDA, distance=0.3, focal_length=FOCAL)
+
+    @pytest.mark.parametrize("width", [-1e-4, 0.7e-3, 1e-3])
+    def test_slit_width_outside_domain(self, width):
+        with pytest.raises(InvalidParameterError):
+            SlitPair(0.7e-3, width)
+
+    def test_narrow_slit_tends_to_pointwise_kernel(self):
+        # the Fresnel average over a vanishing width is the kernel at the center
+        thin = slit_averaged_rows(self.grid, SlitPair(0.7e-3, 0.0), LAMBDA, distance=0.3)
+        narrow = slit_averaged_rows(self.grid, SlitPair(0.7e-3, 1e-8), LAMBDA, distance=0.3)
+        for t, n in zip(thin, narrow):
+            assert np.abs(t - n).max() < 1e-6

@@ -106,7 +106,8 @@ class TestGeneralRoutes:
         )
         self.corr = config.correlations()
         self.slits = config.slits()
-        self.slit_grid = config.slit_grid()
+        # the thin slits' centers -+A/2 sit on nodes 10 and 30
+        self.slit_grid = SpatialGrid(-A, A, 41)
         self.det = fine_grid(n=256)
         self.h2 = fourier_2f_kernel(self.slit_grid, self.det, LAMBDA, FOCAL)
 
