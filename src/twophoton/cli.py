@@ -87,9 +87,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         raw["seed"] = str(args.seed)
     if getattr(args, "frames", None) is not None:
         raw["n_frames"] = str(args.frames)
-    d_values = getattr(args, "d", None)
-    if d_values:
-        raw["distance"] = str(d_values[0])
+    d = getattr(args, "d", None)
+    if d is not None:
+        # sweep repeats --d; its configuration carries the first distance
+        raw["distance"] = str(d[0] if isinstance(d, list) else d)
 
     fields: dict[str, object] = {}
     camera_fields: dict[str, object] = {}
@@ -117,13 +118,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(config)
-    return d
-
-
 def _write_sidecar(path: Path, config: ExperimentConfig, extra: dict) -> None:
-    payload = {"version": __version__, "config": _config_dict(config)}
+    payload = {"version": __version__, "config": dataclasses.asdict(config)}
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -263,26 +259,38 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--out", default=".", help="output directory")
+
+    def run_flags(p):
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--frames", type=int, help="frame count override")
+
+    def threads_flag(p):
         p.add_argument(
             "--threads",
             type=int,
             default=1,
             help="split the analysis into N frame ranges, reduced and merged in order",
         )
+
+    def distance_flag(p, repeat=False):
         p.add_argument(
             "--d",
             type=float,
-            action="append",
-            help="source-slit distance in meters (repeatable for sweep)",
+            action="append" if repeat else "store",
+            help="source-slit distance in meters" + (" (repeatable)" if repeat else ""),
         )
 
-    common(sub.add_parser("pattern", help="write analytic patterns"))
-    common(sub.add_parser("simulate", help="generate a synthetic frame file"))
+    p_pa = sub.add_parser("pattern", help="write analytic patterns")
+    common(p_pa)
+    distance_flag(p_pa)
+    p_si = sub.add_parser("simulate", help="generate a synthetic frame file")
+    common(p_si)
+    run_flags(p_si)
+    distance_flag(p_si)
     p_an = sub.add_parser("analyze", help="reduce a frame file")
     p_an.add_argument("frames_file", help="BIFR frame file")
     common(p_an)
+    threads_flag(p_an)
     p_sw = sub.add_parser("sweep", help="visibilities versus distance")
     p_sw.add_argument(
         "--monte-carlo",
@@ -290,6 +298,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="also run the frame-level closure at each distance",
     )
     common(p_sw)
+    run_flags(p_sw)
+    threads_flag(p_sw)
+    distance_flag(p_sw, repeat=True)
     return parser
 
 

@@ -171,3 +171,33 @@ class TestSweep:
         circle = np.loadtxt(out / "circle.csv", delimiter=",", skiprows=1)
         assert np.allclose(circle[:, 0] ** 2 + circle[:, 1] ** 2, 1.0, atol=1e-12)
         assert "V12" in capsys.readouterr().out
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "frames.bifr", "--seed", "1"],
+            ["analyze", "frames.bifr", "--frames", "10"],
+            ["analyze", "frames.bifr", "--d", "0.3"],
+            ["pattern", "--threads", "2"],
+            ["pattern", "--seed", "1"],
+            ["simulate", "--threads", "2"],
+        ],
+    )
+    def test_flag_a_subcommand_ignores_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_distance_reaches_pattern_and_simulate(self, tmp_path):
+        for command in ("pattern", "simulate"):
+            out = tmp_path / command
+            argv = [command, "--d", "0.3", "--out", str(out)]
+            if command == "simulate":
+                argv += ["--frames", "0"]
+            assert main(argv) == 0
+            sidecar = next(out.glob("*.json"))
+            assert json.loads(sidecar.read_text())["config"]["distance"] == 0.3
