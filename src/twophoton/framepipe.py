@@ -344,8 +344,11 @@ def corrected_counts(
     return counts, variances, missing
 
 
-def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D:
-    """Normalized G2 estimate from the accumulated counts.
+def finalize(
+    acc: CoincidenceAccumulator, cfg: AnalysisConfig
+) -> tuple[JointPattern2D, np.ndarray]:
+    """Normalized G2 estimate from the accumulated counts, and the mask of
+    the cells it interpolated.
 
     Divides by the total frame count, corrects the vertical-filter
     acceptance, interpolates the missing near-diagonal band (each missing
@@ -362,7 +365,7 @@ def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
-    return JointPattern2D(grid, est / total, "coincidence", unit_sum=True)
+    return JointPattern2D(grid, est / total, "coincidence", unit_sum=True), missing
 
 
 def _pixel_grid(width: int, pitch: float) -> SpatialGrid:
@@ -607,6 +610,5 @@ def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) 
     total = _reduce_range(source, cfg, bounds[0], bounds[1], shape)
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         total.merge(_reduce_range(source, cfg, lo, hi, shape))
-    estimate = finalize(total, cfg)
-    _, _, missing = corrected_counts(total, cfg)
+    estimate, missing = finalize(total, cfg)
     return AnalysisResult(total, estimate, marginal_pattern(estimate), missing, cfg)

@@ -269,7 +269,8 @@ class TestEstimate:
         # (28, 33) sits next to the missing band, so nearby band cells
         # interpolate to a positive value
         acc = self.make_acc([(10, 40), (12, 50), (28, 33)])
-        est = finalize(acc, AnalysisConfig())
+        est, missing = finalize(acc, AnalysisConfig())
+        assert np.array_equal(missing, corrected_counts(acc, AnalysisConfig())[2])
         assert est.values.shape == (64, 64)
         assert np.allclose(est.values, est.values.T)
         assert est.total() == pytest.approx(1.0)
