@@ -118,13 +118,14 @@ class ExperimentConfig:
     def correlations(self, d: float | None = None) -> ApertureCorrelations:
         """Slit-plane correlations, from the closed-form slit-averaged rows."""
         d = self._distance(d)
-        pump = self.pump()
+        pump, slits = self.pump(), self.slits()
         if self.mode == "fourier-2f":
-            length = {"focal_length": self.focal_length}
+            rows = slit_averaged_rows(
+                pump.grid, slits, self.wavelength, focal_length=self.focal_length
+            )
         else:
-            length = {"distance": d}
-        r1, r2 = slit_averaged_rows(pump.grid, self.slits(), self.wavelength, **length)
-        return ApertureCorrelations.from_pump(pump, r1, r2)
+            rows = slit_averaged_rows(pump.grid, slits, self.wavelength, distance=d)
+        return ApertureCorrelations.from_pump(pump, *rows)
 
     def _distance(self, d: float | None) -> float:
         d = self.distance if d is None else d

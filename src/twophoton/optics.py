@@ -207,14 +207,14 @@ def slit_averaged_rows(
     w = slits.width
     scale = wavelength * length
     rows = []
-    for c in (slits.x1, slits.x2):
+    for xs in (slits.x1, slits.x2):
         if focal_length is not None:
-            rows.append(np.exp(-2j * np.pi * c * x / scale) * np.sinc(w * x / scale))
+            rows.append(np.exp(-2j * np.pi * xs * x / scale) * np.sinc(w * x / scale))
         elif w == 0.0:
-            rows.append(np.exp(1j * np.pi * (c - x) ** 2 / scale))
+            rows.append(np.exp(1j * np.pi * (xs - x) ** 2 / scale))
         else:
-            s1, c1 = special.fresnel(np.sqrt(2 / scale) * (c - w / 2 - x))
-            s2, c2 = special.fresnel(np.sqrt(2 / scale) * (c + w / 2 - x))
+            s1, c1 = special.fresnel(np.sqrt(2 / scale) * (xs - w / 2 - x))
+            s2, c2 = special.fresnel(np.sqrt(2 / scale) * (xs + w / 2 - x))
             rows.append(np.sqrt(scale / 2) / w * ((c2 - c1) + 1j * (s2 - s1)))
     return rows[0], rows[1]
 
