@@ -34,10 +34,10 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
 
 
 def closed_rows(config, d):
-    pump_grid = config.pump().grid
+    args = (config.pump().grid, config.slits(), config.wavelength)
     if config.mode == "fourier-2f":
-        return slit_averaged_rows(pump_grid, config.slits(), config.wavelength, focal_length=config.focal_length)
-    return slit_averaged_rows(pump_grid, config.slits(), config.wavelength, distance=d)
+        return slit_averaged_rows(*args, focal_length=config.focal_length)
+    return slit_averaged_rows(*args, distance=d)
 
 
 def slit_plane(config, k):
