@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .biphoton import (
     ApertureCorrelations,
     PumpProfile,
-    bounded_psi,
     effective_psi,
     psi_sinc_closed_form,
 )
@@ -54,9 +53,7 @@ from .patterns import (
 from .sensor import CameraModel, FrameSimulator
 from .visibility import (
     VisibilitySet,
-    check_complementarity,
     fit_fringe_visibility,
     fit_joint_visibility,
-    v12_from_v1,
     visibilities_from_psi,
 )

@@ -125,21 +125,6 @@ def normalized_values(
     return g1, psi
 
 
-def bounded_psi(psi: complex) -> complex:
-    """The |psi| <= 1 representative of the biphoton cross value.
-
-    The coincidence pattern |cos(S) + psi cos(D)|^2 is, up to overall scale,
-    invariant under psi -> 1/psi with the roles of the sum and difference
-    fringes exchanged, so the pair (V1m, V12^2) only depends on the bounded
-    representative.  Fourier-transform illumination of a non-negative pump
-    always produces the reciprocal value (the on-axis spectral amplitude is
-    maximal), which this maps back into the unit disk.
-    """
-    if abs(psi) > 1.0:
-        return 1.0 / psi
-    return psi
-
-
 def real_psi(psi: complex, tol: float = 1e-9) -> float:
     """Collapse psi to the real number used by the visibility formulas.
 

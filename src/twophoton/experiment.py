@@ -133,11 +133,8 @@ class ExperimentConfig:
             raise InvalidParameterError("source-slit distance must be positive")
         return d
 
-    def detector_grid(self) -> SpatialGrid:
-        return self.camera.pixel_grid()
-
     def analysis_config(self) -> AnalysisConfig:
-        return AnalysisConfig.from_camera(self.camera)
+        return AnalysisConfig(camera=self.camera)
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def joint_pdf(config: ExperimentConfig, psi: float | None = None) -> JointPatter
         psi = analytic_summary(config).psi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
-        return coincidence_pattern(psi, config.fringe_period, config.detector_grid())
+        return coincidence_pattern(psi, config.fringe_period, config.camera.pixel_grid())
 
 
 def build_simulator(config: ExperimentConfig, psi: float | None = None) -> FrameSimulator:
@@ -215,16 +212,13 @@ def recover_visibilities(
     dilution out of the fitted difference amplitude, whose unit is fixed by
     the known normalization of the estimate.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AliasingWarning)
-        mfit = fit_fringe_visibility(result.marginal, period)
-        excess = excess_pattern(result.estimate, result.marginal, period)
-        cfg = result.config
-        w = result.accumulator.width
-        idx = np.arange(w)
-        acc = vertical_acceptance(idx, cfg.strip_height, cfg.ratio)
-        weights = acc[np.abs(idx[:, None] - idx[None, :])]
-        jfit = fit_joint_visibility(excess, period, mask=~result.missing, weights=weights)
+    mfit = fit_fringe_visibility(result.marginal, period)
+    excess = excess_pattern(result.estimate, result.marginal, period)
+    cfg = result.config
+    idx = np.arange(result.accumulator.width)
+    acc = vertical_acceptance(idx, cfg.camera.strip_height, cfg.ratio)
+    weights = acc[np.abs(idx[:, None] - idx[None, :])]
+    jfit = fit_joint_visibility(excess, period, mask=~result.missing, weights=weights)
     try:
         rate = estimate_pair_rate(result.accumulator, quantum_efficiency)
         eps = accidental_fraction(rate, quantum_efficiency)
@@ -314,7 +308,7 @@ def analytic_patterns(
         summary = analytic_summary(config)
     psi = summary.psi if psi is None else psi
     g1 = summary.g1 if g1 is None else g1
-    grid = grid if grid is not None else config.detector_grid()
+    grid = grid if grid is not None else config.camera.pixel_grid()
     period = config.fringe_period
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -112,6 +112,10 @@ class FrameFileReader:
     def __len__(self) -> int:
         return self.header.frame_count
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.header.height, self.header.width
+
     def frame(self, k: int) -> np.ndarray:
         if not 0 <= k < self.header.frame_count:
             raise IndexError(k)
@@ -127,24 +131,11 @@ class FrameFileReader:
             self.header.height, self.header.width
         )
 
-    def iter_frames(self, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
-        stop = self.header.frame_count if stop is None else stop
-        nbytes = self.header.frame_bytes
-        with open(self.path, "rb") as f:
-            f.seek(HEADER_SIZE + start * nbytes)
-            for k in range(start, stop):
-                raw = f.read(nbytes)
-                if len(raw) != nbytes:
-                    raise FrameFormatError(f"truncated frame {k}", offset=f.tell())
-                yield np.frombuffer(raw, dtype="<u2").reshape(
-                    self.header.height, self.header.width
-                )
-
-    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.
 
-        Returns every index of the range and a ``uint16[hi - lo, v1 - v0,
-        width]`` array; only the bytes of those rows are read from disk.
+        Returns a ``uint16[hi - lo, v1 - v0, width]`` array; only the bytes
+        of those rows are read from disk.
         """
         h = self.header
         v0, v1 = rows
@@ -159,7 +150,7 @@ class FrameFileReader:
                 got = f.readinto(out)
                 if got != out.nbytes:
                     raise FrameFormatError(f"truncated frame {k}", offset=start + got)
-        return np.arange(lo, hi, dtype=np.int64), block
+        return block
 
 
 def write_pattern_csv(path: str | Path, positions: np.ndarray, values: np.ndarray) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 from scipy import ndimage, stats
 
 from .errors import EmptyEstimateError, InvalidParameterError
-from .optics import SpatialGrid
 from .patterns import FringePattern1D, JointPattern2D, marginal_pattern
 from .sensor import FULL_SCALE, CameraModel, PhotonEvent
 
@@ -36,38 +35,21 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Reduction parameters; defaults match the default camera model."""
+    """The camera whose frames are reduced, and the reduction's own knobs.
 
-    threshold: int = int(0.2 * FULL_SCALE)
+    Pixel pitch, readout strip, patch size and threshold are the camera's:
+    the analysis reads them from ``camera`` and stores no copy.
+    """
+
+    camera: CameraModel = field(default_factory=CameraModel)
     min_patch: int = 4
-    patch_size: int = 3
-    strip_rows: tuple[int, int] = (240, 271)
     ratio: float = 1.0 / 3.0
-    pitch: float = 24e-6
-    correct_acceptance: bool = True
 
     def __post_init__(self):
-        if self.threshold < 0 or self.threshold > FULL_SCALE:
-            raise InvalidParameterError("threshold must be within the analog range")
         if self.min_patch < 1:
             raise InvalidParameterError("min_patch must be >= 1")
         if not 0 < self.ratio:
             raise InvalidParameterError("ratio must be positive")
-        if self.strip_rows[0] > self.strip_rows[1]:
-            raise InvalidParameterError("strip rows must be an inclusive range")
-
-    @property
-    def strip_height(self) -> int:
-        return self.strip_rows[1] - self.strip_rows[0] + 1
-
-    @classmethod
-    def from_camera(cls, camera: CameraModel) -> "AnalysisConfig":
-        return cls(
-            threshold=camera.threshold_analog,
-            patch_size=camera.patch_size,
-            strip_rows=camera.strip_rows,
-            pitch=camera.pitch,
-        )
 
 
 def threshold_frame(frame: np.ndarray, level: int) -> np.ndarray:
@@ -224,16 +206,16 @@ def accumulate_pair(acc: CoincidenceAccumulator, pair: PairRecord) -> None:
     acc.matrix[j, i] += 1
 
 
-def _strip_window(cfg: AnalysisConfig, height: int) -> tuple[int, int]:
+def _strip_window(camera: CameraModel) -> tuple[int, int]:
     """Frame rows ``(v0, v1)`` the reduction examines.
 
     The readout strip, padded by one patch so patches crossing the strip
     edge are seen whole: events outside the strip are dropped regardless,
     so this matches full-frame processing.
     """
-    margin = cfg.patch_size - 1
-    v1 = min(cfg.strip_rows[1] + margin + 1, height)
-    return min(max(cfg.strip_rows[0] - margin, 0), v1), v1
+    margin = camera.patch_size - 1
+    r0, r1 = camera.strip_rows
+    return max(r0 - margin, 0), min(r1 + margin + 1, camera.height)
 
 
 def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumulator) -> str:
@@ -242,18 +224,19 @@ def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumu
     The per-frame reference for the block reduction in ``analyze_source``:
     only the rows of ``_strip_window`` are examined.
     """
+    cam = cfg.camera
     acc.frames_total += 1
-    v0, v1 = _strip_window(cfg, frame.shape[0])
+    v0, v1 = _strip_window(cam)
     view = frame[v0:v1]
-    if view.max(initial=0) <= cfg.threshold:
+    if view.max(initial=0) <= cam.threshold_analog:
         acc.frames_empty += 1
         return "empty"
-    binary = threshold_frame(view, cfg.threshold)
+    binary = threshold_frame(view, cam.threshold_analog)
     events = [
         PhotonEvent(e.row + v0, e.col, e.peak)
         for e in detect_photons(binary, view, cfg.min_patch)
     ]
-    cls = classify_and_filter(events, cfg.strip_rows, cfg.ratio)
+    cls = classify_and_filter(events, cam.strip_rows, cfg.ratio)
     if cls.kind == "empty":
         acc.frames_empty += 1
     elif cls.kind == "single":
@@ -328,17 +311,18 @@ def corrected_counts(
     acceptance; variances follow Poisson statistics of the raw counts scaled
     by the same factor squared.
     """
+    cam = cfg.camera
+    if acc.width != cam.width:
+        raise InvalidParameterError(
+            f"accumulator width {acc.width} differs from the camera width {cam.width}"
+        )
     idx = np.arange(acc.width)
     dc = np.abs(idx[:, None] - idx[None, :])
-    missing = missing_band_mask(acc.width, cfg.patch_size)
+    missing = missing_band_mask(acc.width, cam.patch_size)
     raw = acc.matrix.astype(float)
-    if cfg.correct_acceptance:
-        a = vertical_acceptance(np.arange(acc.width), cfg.strip_height, cfg.ratio)
-        a2d = a[dc]
-        missing = missing | (a2d <= 0)
-        scale = np.where(missing, 0.0, 1.0 / np.where(a2d > 0, a2d, 1.0))
-    else:
-        scale = np.where(missing, 0.0, 1.0)
+    a2d = vertical_acceptance(idx, cam.strip_height, cfg.ratio)[dc]
+    missing = missing | (a2d <= 0)
+    scale = np.where(missing, 0.0, 1.0 / np.where(a2d > 0, a2d, 1.0))
     counts = raw * scale
     variances = raw * scale**2
     return counts, variances, missing
@@ -361,16 +345,11 @@ def finalize(
     est = counts / acc.frames_total
     est = _interpolate_missing(est, missing)
     est = 0.5 * (est + est.T)
-    grid = _pixel_grid(acc.width, cfg.pitch)
+    grid = cfg.camera.pixel_grid()
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
     return JointPattern2D(grid, est / total, "coincidence", unit_sum=True), missing
-
-
-def _pixel_grid(width: int, pitch: float) -> SpatialGrid:
-    half = (width - 1) / 2 * pitch
-    return SpatialGrid(-half, half, width)
 
 
 def superpixel_bin(matrix: np.ndarray, factor: int = 4) -> np.ndarray:
@@ -500,19 +479,9 @@ class AnalysisResult:
     config: AnalysisConfig
 
 
-def _source_shape(source) -> tuple[int, int]:
-    header = getattr(source, "header", None)
-    if header is not None:
-        return header.height, header.width
-    camera = getattr(source, "camera", None)
-    if camera is not None:
-        return camera.height, camera.width
-    return source.frame(0).shape
-
-
 def _stacked_strip_block(
     source, lo: int, hi: int, rows: tuple[int, int], width: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """``strip_block`` for a source that only offers ``frame(k)``.
 
     Copies the rows out of each frame, so no full frame outlives its step.
@@ -520,7 +489,7 @@ def _stacked_strip_block(
     block = np.empty((hi - lo, rows[1] - rows[0], width), dtype=np.uint16)
     for out, k in zip(block, range(lo, hi)):
         out[...] = source.frame(k)[rows[0] : rows[1]]
-    return np.arange(lo, hi, dtype=np.int64), block
+    return block
 
 
 def _block_events(
@@ -533,7 +502,8 @@ def _block_events(
     ``min_patch`` pixels, located at its analog maximum with ties to the
     smallest (row, col).
     """
-    binary = frames > cfg.threshold
+    cam = cfg.camera
+    binary = frames > cam.threshold_analog
     labels, n = ndimage.label(binary, structure=_CONN8_BLOCK)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -548,20 +518,20 @@ def _block_events(
     f, rest = np.divmod(peaks, labels[0].size)
     row, col = np.divmod(rest, frames.shape[2])
     row += v0
-    inside = (row >= cfg.strip_rows[0]) & (row <= cfg.strip_rows[1])
+    inside = (row >= cam.strip_rows[0]) & (row <= cam.strip_rows[1])
     return f[inside], row[inside], col[inside]
 
 
 def _reduce_range(
-    source, cfg: AnalysisConfig, lo: int, hi: int, shape: tuple[int, int], block: int = _BLOCK
+    source, cfg: AnalysisConfig, lo: int, hi: int, block: int = _BLOCK
 ) -> CoincidenceAccumulator:
     """Reduce frames ``lo..hi-1`` block by block into a new accumulator.
 
     Equal to ``process_frame`` on every frame, for any block size.  Frames a
     source leaves out of its ``strip_block`` are blank and count as empty.
     """
-    height, width = shape
-    rows = _strip_window(cfg, height)
+    width = cfg.camera.width
+    rows = _strip_window(cfg.camera)
     strip_block = getattr(source, "strip_block", None)
     if strip_block is None:
         strip_block = partial(_stacked_strip_block, source, width=width)
@@ -570,7 +540,7 @@ def _reduce_range(
     singles = [np.empty(0, dtype=np.int64)]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for b0 in range(lo, hi, block):
-        _, frames = strip_block(b0, min(b0 + block, hi), rows)
+        frames = strip_block(b0, min(b0 + block, hi), rows)
         f, row, col = _block_events(frames, rows[0], cfg)
         per_frame = np.bincount(f, minlength=len(frames))
         acc.frames_single += int(np.count_nonzero(per_frame == 1))
@@ -594,7 +564,8 @@ def _reduce_range(
 def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) -> AnalysisResult:
     """Reduce a frame source (BIFR reader or simulator) end to end.
 
-    A source offers ``strip_block(lo, hi, rows)`` or just ``frame(k)``.
+    A source has a ``shape = (height, width)``, which must be the camera's,
+    and offers ``strip_block(lo, hi, rows)`` or just ``frame(k)``.
     Frames are split into ``workers`` contiguous index ranges, each reduced
     on the calling thread into a private accumulator and merged in index
     order — the result is identical for any worker count.
@@ -602,13 +573,18 @@ def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) 
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
     cfg = cfg or AnalysisConfig()
+    cam = cfg.camera
+    if source.shape != (cam.height, cam.width):
+        raise InvalidParameterError(
+            f"frames of shape {source.shape} do not fit the "
+            f"{cam.height}x{cam.width} camera"
+        )
     n = len(source)
     if n == 0:
         raise EmptyEstimateError("frame source is empty")
-    shape = _source_shape(source)
     bounds = [n * k // workers for k in range(workers + 1)]
-    total = _reduce_range(source, cfg, bounds[0], bounds[1], shape)
+    total = _reduce_range(source, cfg, bounds[0], bounds[1])
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        total.merge(_reduce_range(source, cfg, lo, hi, shape))
+        total.merge(_reduce_range(source, cfg, lo, hi))
     estimate, missing = finalize(total, cfg)
     return AnalysisResult(total, estimate, marginal_pattern(estimate), missing, cfg)

@@ -273,29 +273,3 @@ def excess_closed_form(
         offset = (1.0 - v[mask2].sum() * cell) / (int(mask2.sum()) * cell)
     return JointPattern2D(grid, v + offset, "excess", unit_sum=False, period=period)
 
-
-def slit_envelope(
-    w: float, wavelength: float, focal_length: float, grid: SpatialGrid
-) -> np.ndarray:
-    """Single-slit diffraction envelope sinc^2(w x / (wavelength f)).
-
-    All ones for zero slit width.
-    """
-    if w < 0:
-        raise InvalidParameterError("slit width must be non-negative")
-    if w == 0:
-        return np.ones(grid.n)
-    return np.sinc(w * grid.positions / (wavelength * focal_length)) ** 2
-
-
-def apply_envelope(pattern: FringePattern1D, envelope: np.ndarray) -> FringePattern1D:
-    """Multiply a normalized pattern by an envelope and re-normalize to unit mean."""
-    v = pattern.values * envelope
-    return FringePattern1D(pattern.grid, v / v.mean(), pattern.period)
-
-
-def apply_envelope_joint(pattern: JointPattern2D, envelope: np.ndarray) -> JointPattern2D:
-    """Multiply a joint pattern by env(x') env(x'') and re-normalize to unit sum."""
-    v = pattern.values * np.outer(envelope, envelope)
-    v = _unit_sum(v, pattern.grid.spacing)
-    return JointPattern2D(pattern.grid, v, pattern.kind, unit_sum=True, period=pattern.period)

@@ -46,8 +46,16 @@ class CameraModel:
     strip_rows: tuple[int, int] = (240, 271)
 
     def __post_init__(self):
+        if self.width < 2 or self.height < 2:
+            raise InvalidParameterError("frame width and height must be >= 2")
+        if self.pitch <= 0:
+            raise InvalidParameterError("pixel pitch must be positive")
         if not 0 <= self.quantum_efficiency <= 1:
             raise InvalidParameterError("quantum efficiency must be in [0, 1]")
+        if self.threshold < 0:
+            raise InvalidParameterError("threshold must be >= 0")
+        if self.dark_rate < 0:
+            raise InvalidParameterError("dark rate must be >= 0")
         if self.patch_size % 2 != 1 or self.patch_size < 1:
             raise InvalidParameterError("patch size must be odd and positive")
         r0, r1 = self.strip_rows
@@ -218,6 +226,10 @@ class FrameSimulator:
     def __len__(self) -> int:
         return self.n_frames
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.camera.height, self.camera.width
+
     def _rng(self, k: int) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(k,))
@@ -249,27 +261,26 @@ class FrameSimulator:
         events, n_dark, rng = self.frame_events(k)
         return render_frame(events, self.camera, rng, n_dark)
 
-    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of the non-blank frames in ``[lo, hi)``.
 
-        Returns the indices of the frames that hold a photon or dark event
-        and a ``uint16[n, v1 - v0, width]`` array of their rows, equal to
-        ``frame(k)[v0:v1]`` bit for bit.  Each frame's events are drawn
-        once; blank frames are not rendered at all.
+        A ``uint16[n, v1 - v0, width]`` array holding, in index order, the
+        rows ``frame(k)[v0:v1]`` bit for bit of the ``n`` frames that hold a
+        photon or dark event.  Each frame's events are drawn once; blank
+        frames are not rendered at all.
         """
         cam = self.camera
         block = np.zeros((max(hi - lo, 0), rows[1] - rows[0], cam.width), dtype=np.uint16)
-        indices = []
+        n = 0
         for k in range(lo, hi):
             events, n_dark, rng = self.frame_events(k)
             if events or n_dark:
-                render_frame(events, cam, rng, n_dark, rows=rows, out=block[len(indices)])
-                indices.append(k)
-        return np.array(indices, dtype=np.int64), block[: len(indices)]
+                render_frame(events, cam, rng, n_dark, rows=rows, out=block[n])
+                n += 1
+        return block[:n]
 
-    def iter_frames(self, start: int = 0, stop: int | None = None):
-        stop = self.n_frames if stop is None else stop
-        for k in range(start, stop):
+    def iter_frames(self):
+        for k in range(self.n_frames):
             yield self.frame(k)
 
     def write(self, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Fringe visibilities: closed forms, estimators, and the complementarity check.
+"""Fringe visibilities: closed forms and estimators.
 
 For a real entanglement parameter psi the three visibilities are
 
@@ -38,19 +38,6 @@ def visibilities_from_psi(psi: float) -> VisibilitySet:
     )
 
 
-def v12_from_v1(v1: float) -> float:
-    """Two-photon visibility implied by the pure one-photon visibility."""
-    if abs(v1) > 1 + 1e-12:
-        raise InvalidParameterError(f"|V1| must be <= 1, got {v1}")
-    return (1.0 - v1 * v1) / (1.0 + v1 * v1)
-
-
-def check_complementarity(v: VisibilitySet, tol: float = 1e-12) -> tuple[float, bool]:
-    """Residual |V1m^2 + V12^2 - 1| and whether it passes ``tol``."""
-    residual = abs(v.v1m ** 2 + v.v12 ** 2 - 1.0)
-    return residual, residual < tol
-
-
 @dataclass(frozen=True)
 class FringeFit:
     """Result of a known-period sinusoid fit: offset * (1 + V cos(2 pi x / L + phase))."""
@@ -61,27 +48,16 @@ class FringeFit:
     residual: float
 
 
-def fit_fringe_visibility(
-    pattern: FringePattern1D,
-    period: float,
-    envelope: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> FringeFit:
+def fit_fringe_visibility(pattern: FringePattern1D, period: float) -> FringeFit:
     """Linear least-squares fringe fit at a known period.
 
     Fits offset * (1 + V cos(2 pi x / period + phase)) on the basis
-    {1, cos, sin}.  An optional diffraction envelope is divided out first;
-    samples where it falls below 5% of its peak are masked.
-    Returns V >= 0 with the sign absorbed into the phase.
+    {1, cos, sin}.  Returns V >= 0 with the sign absorbed into the phase.
     """
     if period <= 0:
         raise InvalidParameterError("period must be positive")
     x = pattern.grid.positions
     y = np.asarray(pattern.values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if envelope is not None:
-        keep = envelope > 0.05 * envelope.max()
-        x, y, w = x[keep], y[keep] / envelope[keep], w[keep]
     if x.size < 3:
         raise UnderDeterminedFitError("need at least 3 samples for a fringe fit")
     if x.max() - x.min() < 2 * period:
@@ -90,8 +66,7 @@ def fit_fringe_visibility(
         )
     t = 2 * np.pi * x / period
     design = np.column_stack([np.ones_like(t), np.cos(t), np.sin(t)])
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     c0, c1, c2 = coef
     resid = float(np.linalg.norm(design @ coef - y) / max(np.linalg.norm(y), 1e-300))
     if c0 <= 0 or (c1 == 0 and c2 == 0):

@@ -163,7 +163,7 @@ def test_criterion_9_determinism_and_merge_invariance(tmp_path):
     identical_files = paths[0] == paths[1]
 
     sim = tp.build_simulator(dataclasses.replace(config, n_frames=2000), psi=0.6)
-    cfg = AnalysisConfig.from_camera(sim.camera)
+    cfg = AnalysisConfig(camera=sim.camera)
     accs = [analyze_source(sim, cfg, workers=w).accumulator for w in (1, 4, 16)]
     identical_acc = all(
         np.array_equal(a.matrix, accs[0].matrix)

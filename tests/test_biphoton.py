@@ -8,7 +8,6 @@ import twophoton as tp
 from twophoton.biphoton import (
     ApertureCorrelations,
     PumpProfile,
-    bounded_psi,
     effective_psi,
     psi_sinc_closed_form,
     real_psi,
@@ -89,13 +88,14 @@ class TestDuality:
 
 
 class TestBoundedAndRealPsi:
+    # effective_psi takes P12 / P11 or its reciprocal, whichever is bounded
     @given(st.floats(-0.999, 0.999))
     def test_bounded_identity_inside_disk(self, x):
-        assert bounded_psi(x) == x
+        assert effective_psi(1.0, 1.0, x) == pytest.approx(x, rel=1e-15, abs=0)
 
     @given(st.floats(1.001, 1e6))
     def test_bounded_reciprocal_outside_disk(self, x):
-        assert bounded_psi(x) == pytest.approx(1.0 / x)
+        assert effective_psi(1.0, 1.0, x) == pytest.approx(1.0 / x)
 
     def test_real_psi_collapses_complex_to_magnitude(self):
         z = 0.3 + 0.4j

@@ -9,7 +9,7 @@ import pytest
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
-from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv
+from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv, write_frames
 from twophoton.framepipe import AnalysisConfig, analyze_source
 from twophoton.optics import SpatialGrid
 from twophoton.patterns import FringePattern1D, JointPattern2D
@@ -111,6 +111,17 @@ class TestSimulate:
             digests.append(hashlib.sha256((out / "frames.bifr").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("threshold", -0.1), ("dark_rate", -1), ("pitch", 0), ("pitch", -24e-6)],
+    )
+    def test_bad_camera_key_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", n_frames=5, **{key: value})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "frames.bifr").exists()
+
     def test_different_seed_differs(self, tmp_path):
         digests = []
         for seed in ("5", "6"):
@@ -154,6 +165,14 @@ class TestAnalyze:
         bad = tmp_path / "bad.bifr"
         bad.write_bytes(b"not a frame file at all" * 10)
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("width, height", [(256, 512), (512, 300)])
+    def test_frames_not_of_the_camera_exit_2(self, tmp_path, capsys, width, height):
+        path = tmp_path / "small.bifr"
+        frames = [np.zeros((height, width), np.uint16)] * 3
+        write_frames(path, width, height, iter(frames), 3)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert "512x512 camera" in capsys.readouterr().err
 
 
 class TestSweep:

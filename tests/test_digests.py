@@ -52,7 +52,7 @@ def test_bifr_bytes(tmp_path):
 @pytest.mark.parametrize("workers", [1, 4, 16])
 def test_criterion_9_stream(workers):
     sim = tp.build_simulator(tp.ExperimentConfig(n_frames=2000, seed=55), psi=0.6)
-    acc = analyze_source(sim, AnalysisConfig.from_camera(sim.camera), workers=workers).accumulator
+    acc = analyze_source(sim, AnalysisConfig(camera=sim.camera), workers=workers).accumulator
     assert accumulator_digest(acc) == STREAM_PSI_06
 
 

@@ -1,5 +1,6 @@
 """Frame reduction: detection, classification, accumulation, estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,18 +51,19 @@ def uniform_pdf(n=64):
 
 class TestAnalysisConfig:
     def test_defaults_match_camera(self):
-        cfg = AnalysisConfig.from_camera(CameraModel())
-        assert cfg.threshold == int(0.2 * FULL_SCALE)
-        assert cfg.strip_rows == STRIP
-        assert cfg.strip_height == 32
+        cfg = AnalysisConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["camera", "min_patch", "ratio"]
+        assert cfg.camera == CameraModel()
+        assert cfg.camera.threshold_analog == int(0.2 * FULL_SCALE)
+        assert cfg.camera.strip_rows == STRIP
+        assert cfg.camera.strip_height == 32
 
     def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            AnalysisConfig(threshold=-1)
-        with pytest.raises(InvalidParameterError):
-            AnalysisConfig(strip_rows=(10, 5))
+        # threshold and strip rows are the camera's: see test_sensor.py
         with pytest.raises(InvalidParameterError):
             AnalysisConfig(ratio=0.0)
+        with pytest.raises(InvalidParameterError):
+            AnalysisConfig(min_patch=0)
 
 
 class TestThresholdAndDetect:
@@ -182,7 +184,7 @@ class TestAccumulator:
 class TestProcessFrame:
     def test_full_pipeline_single_pair(self):
         cam = CameraModel()
-        cfg = AnalysisConfig.from_camera(cam)
+        cfg = AnalysisConfig(camera=cam)
         frame = render_frame(
             [PhotonEvent(250, 100), PhotonEvent(252, 130)], cam, np.random.default_rng(3)
         )
@@ -192,7 +194,7 @@ class TestProcessFrame:
 
     def test_empty_and_single_counting(self):
         cam = CameraModel()
-        cfg = AnalysisConfig.from_camera(cam)
+        cfg = AnalysisConfig(camera=cam)
         acc = CoincidenceAccumulator(cam.width)
         process_frame(np.zeros((512, 512), np.uint16), cfg, acc)
         frame = render_frame([PhotonEvent(250, 77)], cam, np.random.default_rng(4))
@@ -202,7 +204,7 @@ class TestProcessFrame:
 
     def test_out_of_strip_frame_is_empty(self):
         cam = CameraModel()
-        cfg = AnalysisConfig.from_camera(cam)
+        cfg = AnalysisConfig(camera=cam)
         frame = render_frame([PhotonEvent(100, 77)], cam, np.random.default_rng(4))
         acc = CoincidenceAccumulator(cam.width)
         assert process_frame(frame, cfg, acc) == "empty"
@@ -210,7 +212,7 @@ class TestProcessFrame:
     def test_pair_straddling_strip_edge_patch(self):
         # events on the strip boundary rows are seen whole via the margin
         cam = CameraModel()
-        cfg = AnalysisConfig.from_camera(cam)
+        cfg = AnalysisConfig(camera=cam)
         frame = render_frame(
             [PhotonEvent(240, 50), PhotonEvent(271, 400)], cam, np.random.default_rng(6)
         )
@@ -242,6 +244,9 @@ class TestVerticalAcceptance:
         assert np.all(np.diff(a) >= 0)
 
 
+CAM64 = CameraModel(width=64)
+
+
 class TestEstimate:
     def make_acc(self, pairs, width=64, frames=1000):
         acc = CoincidenceAccumulator(width)
@@ -256,10 +261,10 @@ class TestEstimate:
         assert not band[0, 4]
 
     def test_corrected_counts_scale(self):
-        cfg = AnalysisConfig()
+        cfg = AnalysisConfig(camera=CAM64)
         acc = self.make_acc([(10, 40)])
         counts, variances, missing = corrected_counts(acc, cfg)
-        a = vertical_acceptance(30, cfg.strip_height, cfg.ratio)
+        a = vertical_acceptance(30, cfg.camera.strip_height, cfg.ratio)
         assert counts[10, 40] == pytest.approx(1 / a)
         assert variances[10, 40] == pytest.approx(1 / a**2)
         assert counts[10, 10] == 0.0  # diagonal is in the missing band
@@ -269,8 +274,9 @@ class TestEstimate:
         # (28, 33) sits next to the missing band, so nearby band cells
         # interpolate to a positive value
         acc = self.make_acc([(10, 40), (12, 50), (28, 33)])
-        est, missing = finalize(acc, AnalysisConfig())
-        assert np.array_equal(missing, corrected_counts(acc, AnalysisConfig())[2])
+        cfg = AnalysisConfig(camera=CAM64)
+        est, missing = finalize(acc, cfg)
+        assert np.array_equal(missing, corrected_counts(acc, cfg)[2])
         assert est.values.shape == (64, 64)
         assert np.allclose(est.values, est.values.T)
         assert est.total() == pytest.approx(1.0)
@@ -280,7 +286,14 @@ class TestEstimate:
 
     def test_finalize_empty(self):
         with pytest.raises(EmptyEstimateError):
-            finalize(self.make_acc([]), AnalysisConfig())
+            finalize(self.make_acc([]), AnalysisConfig(camera=CAM64))
+
+    def test_finalize_rejects_other_width(self):
+        acc = self.make_acc([(10, 40)])
+        with pytest.raises(InvalidParameterError):
+            finalize(acc, AnalysisConfig())
+        with pytest.raises(InvalidParameterError):
+            corrected_counts(acc, AnalysisConfig(camera=CameraModel(width=65)))
 
     def test_superpixel_bin(self):
         m = np.ones((8, 8))
@@ -333,11 +346,11 @@ class TestMarginalConsistency:
         width = 64
         acc = CoincidenceAccumulator(width)
         acc.frames_total = 50_000
-        cfg = AnalysisConfig()
-        a = vertical_acceptance(np.arange(width), cfg.strip_height, cfg.ratio)
+        cfg = AnalysisConfig(camera=CAM64)
+        a = vertical_acceptance(np.arange(width), cfg.camera.strip_height, cfg.ratio)
         for _ in range(8000):
             i, j = sorted(rng.choice(width, 2, replace=False))
-            if j - i <= cfg.patch_size or rng.random() > a[j - i]:
+            if j - i <= cfg.camera.patch_size or rng.random() > a[j - i]:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
@@ -355,7 +368,7 @@ class TestMarginalConsistency:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
-        r = marginal_consistency(acc, AnalysisConfig(), factor=4)
+        r = marginal_consistency(acc, AnalysisConfig(camera=CAM64), factor=4)
         assert r.pvalue < 1e-6
 
 
@@ -414,7 +427,7 @@ class TestAnalyzeSource:
 
     def test_worker_invariance(self):
         sim = self.make_sim()
-        cfg = AnalysisConfig.from_camera(sim.camera)
+        cfg = AnalysisConfig(camera=sim.camera)
         results = [analyze_source(sim, cfg, workers=w) for w in (1, 3, 4)]
         base = results[0].accumulator
         for r in results[1:]:
@@ -424,7 +437,7 @@ class TestAnalyzeSource:
 
     def test_counters_cover_all_frames(self):
         sim = self.make_sim()
-        res = analyze_source(sim, AnalysisConfig.from_camera(sim.camera))
+        res = analyze_source(sim, AnalysisConfig(camera=sim.camera))
         acc = res.accumulator
         assert acc.frames_total == 400
         assert sum(acc.class_counts().values()) == acc.frames_total
@@ -433,7 +446,7 @@ class TestAnalyzeSource:
         sim = self.make_sim(n_frames=150, seed=78)
 
         class NoFastPath:
-            camera = sim.camera
+            shape = sim.shape
 
             def __len__(self):
                 return len(sim)
@@ -441,7 +454,7 @@ class TestAnalyzeSource:
             def frame(self, k):
                 return sim.frame(k)
 
-        cfg = AnalysisConfig.from_camera(sim.camera)
+        cfg = AnalysisConfig(camera=sim.camera)
         a = analyze_source(sim, cfg).accumulator
         b = analyze_source(NoFastPath(), cfg).accumulator
         assert np.array_equal(a.matrix, b.matrix)
@@ -455,6 +468,16 @@ class TestAnalyzeSource:
     def test_invalid_workers(self):
         with pytest.raises(InvalidParameterError):
             analyze_source(self.make_sim(), AnalysisConfig(), workers=0)
+
+    @pytest.mark.parametrize("shape", [(512, 256), (256, 512)])
+    def test_source_shape_must_match_camera(self, shape):
+        sim = self.make_sim(n_frames=10)
+        frames = FrameList([np.zeros(shape, np.uint16)] * 10)
+        with pytest.raises(InvalidParameterError):
+            analyze_source(frames, AnalysisConfig(camera=sim.camera))
+        small = CameraModel(height=shape[0], width=shape[1], strip_rows=(100, 131))
+        with pytest.raises(InvalidParameterError):
+            analyze_source(sim, AnalysisConfig(camera=small))
 
 
 def accumulator_key(acc):
@@ -475,6 +498,7 @@ class FrameList:
 
     def __init__(self, frames):
         self.frames = frames
+        self.shape = frames[0].shape
 
     def __len__(self):
         return len(self.frames)
@@ -483,27 +507,30 @@ class FrameList:
         return self.frames[k]
 
 
+SMALL_CAM = CameraModel(width=16, height=12, strip_rows=(3, 7))
+T = SMALL_CAM.threshold_analog
+
+
 class TestBlockReduction:
     @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
         sim = FrameSimulator(uniform_pdf(), CameraModel(), 300, mean_pairs, seed=21)
-        cfg = AnalysisConfig.from_camera(sim.camera)
-        shape = (sim.camera.height, sim.camera.width)
-        want = accumulator_key(per_frame_reference(sim.iter_frames(), cfg, shape[1]))
+        cfg = AnalysisConfig(camera=sim.camera)
+        want = accumulator_key(per_frame_reference(sim.iter_frames(), cfg, sim.camera.width))
         for block in (1, 7, 64, 256):
-            assert accumulator_key(_reduce_range(sim, cfg, 0, 300, shape, block)) == want
+            assert accumulator_key(_reduce_range(sim, cfg, 0, 300, block)) == want
 
     def test_subrange(self):
         sim = FrameSimulator(uniform_pdf(), CameraModel(), 120, 2.0, seed=22)
-        cfg = AnalysisConfig.from_camera(sim.camera)
+        cfg = AnalysisConfig(camera=sim.camera)
         frames = [sim.frame(k) for k in range(37, 101)]
-        got = _reduce_range(sim, cfg, 37, 101, (512, 512), 16)
+        got = _reduce_range(sim, cfg, 37, 101, 16)
         assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, cfg, 512))
 
     def test_blank_blocks_count_as_empty(self):
         sim = FrameSimulator(uniform_pdf(), CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
-        cfg = AnalysisConfig.from_camera(sim.camera)
-        acc = _reduce_range(sim, cfg, 0, 100, (512, 512), 16)
+        cfg = AnalysisConfig(camera=sim.camera)
+        acc = _reduce_range(sim, cfg, 0, 100, 16)
         assert acc.frames_total == acc.frames_empty == 100
         assert acc.matrix.sum() == acc.singles.sum() == 0
 
@@ -513,7 +540,7 @@ class TestBlockReduction:
         frames=arrays(
             np.uint16,
             st.tuples(st.integers(1, 12), st.just(12), st.just(16)),
-            elements=st.sampled_from([0, 0, 0, 0, 0, 0, 100, 101, 150, 200]),
+            elements=st.sampled_from([0, 0, 0, 0, 0, 0, T, T + 1, T + 50, T + 100]),
         ),
         min_patch=st.integers(1, 6),
         ratio=st.sampled_from([1.0 / 3.0, 0.5, 1.0, 4.0]),
@@ -523,8 +550,7 @@ class TestBlockReduction:
     def test_random_strips_match_process_frame(self, frames, min_patch, ratio, block):
         # the window is rows 1..9 of 12: patches cross both the strip edge
         # (rows 3 and 7) and the window edge
-        cfg = AnalysisConfig(threshold=100, min_patch=min_patch, patch_size=3,
-                             strip_rows=(3, 7), ratio=ratio)
-        got = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), (12, 16), block)
+        cfg = AnalysisConfig(camera=SMALL_CAM, min_patch=min_patch, ratio=ratio)
+        got = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), block)
         want = per_frame_reference(frames, cfg, 16)
         assert accumulator_key(got) == accumulator_key(want)

@@ -1,7 +1,5 @@
 """Analytic fringe patterns: closed forms, general routes, and invariants."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +9,6 @@ from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import AliasingWarning, CompositionError, InvalidParameterError
 from twophoton.optics import SlitPair, SpatialGrid, fourier_2f_kernel
 from twophoton.patterns import (
-    apply_envelope,
-    apply_envelope_joint,
     coincidence_general,
     coincidence_pattern,
     excess_closed_form,
@@ -20,7 +16,6 @@ from twophoton.patterns import (
     intensity_general,
     marginal_pattern,
     single_photon_pattern,
-    slit_envelope,
 )
 
 LAMBDA = 812e-9
@@ -169,35 +164,6 @@ class TestMarginalAndExcess:
         m = marginal_pattern(coincidence_pattern(0.5, PERIOD, fine_grid(n=385)))
         with pytest.raises(CompositionError):
             excess_pattern(g2, m)
-
-
-class TestEnvelope:
-    def test_zero_width_envelope_flat(self):
-        assert np.allclose(slit_envelope(0.0, LAMBDA, FOCAL, fine_grid()), 1.0)
-
-    def test_envelope_zero_at_first_diffraction_minimum(self):
-        w = 0.35e-3
-        x0 = LAMBDA * FOCAL / w
-        grid = SpatialGrid(-1.5 * x0, 1.5 * x0, 301)
-        env = slit_envelope(w, LAMBDA, FOCAL, grid)
-        assert env[grid.nearest_index(x0)] == pytest.approx(0.0, abs=1e-12)
-        assert env[grid.nearest_index(0.0)] == pytest.approx(1.0)
-
-    def test_apply_envelope_keeps_normalization(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasingWarning)
-            grid = fine_grid(periods=40, n=2048)
-            p = single_photon_pattern(0.5, PERIOD, grid)
-            env = slit_envelope(0.35e-3, LAMBDA, FOCAL, grid)
-            out = apply_envelope(p, env)
-        assert out.values.mean() == pytest.approx(1.0)
-
-    def test_apply_envelope_joint_keeps_unit_sum(self):
-        grid = fine_grid()
-        g2 = coincidence_pattern(0.5, PERIOD, grid)
-        env = slit_envelope(0.35e-3, LAMBDA, FOCAL, grid)
-        out = apply_envelope_joint(g2, env)
-        assert out.total() == pytest.approx(1.0)
 
 
 @settings(max_examples=25, deadline=None)

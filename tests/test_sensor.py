@@ -60,6 +60,22 @@ class TestCameraModel:
             # threshold above the dimmest possible patch pixel
             CameraModel(threshold=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"threshold": -0.1},
+            {"strip_rows": (10, 5)},
+            {"pitch": 0.0},
+            {"pitch": -24e-6},
+            {"dark_rate": -1.0},
+            {"width": 1},
+            {"height": 1, "strip_rows": (0, 0)},
+        ],
+    )
+    def test_invalid_inputs_raise_package_error(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            CameraModel(**kwargs)
+
 
 class TestSamplePairs:
     def test_delta_pdf_hits_one_cell(self):
@@ -188,6 +204,11 @@ class TestFrameSimulator:
     def make_sim(self, n_frames=200, mean_pairs=0.5, seed=42):
         return FrameSimulator(make_pdf(), CameraModel(), n_frames, mean_pairs, seed)
 
+    def test_shape_is_the_camera_frame(self):
+        cam = CameraModel(width=64, height=40, strip_rows=(10, 20))
+        sim = FrameSimulator(make_pdf(), cam, 5, 0.5, 1)
+        assert sim.shape == (40, 64) == sim.frame(0).shape
+
     def test_determinism(self):
         a, b = self.make_sim(), self.make_sim()
         for k in (0, 7, 199):
@@ -218,17 +239,21 @@ class TestFrameSimulator:
 
     def test_strip_block_indices_are_nonblank_frames(self):
         sim = self.make_sim(mean_pairs=0.2)
-        indices, block = sim.strip_block(0, 100, (0, sim.camera.height))
-        assert set(indices.tolist()) == {k for k in range(100) if sim.frame(k).max() > 0}
-        assert block.shape == (len(indices), sim.camera.height, sim.camera.width)
+        block = sim.strip_block(0, 100, (0, sim.camera.height))
+        nonblank = [k for k in range(100) if sim.frame(k).max() > 0]
+        assert 0 < len(nonblank) < 100
+        assert block.dtype == np.uint16
+        assert np.array_equal(block, np.stack([sim.frame(k) for k in nonblank]))
 
     def test_strip_block_equals_frame_rows(self):
         sim = self.make_sim(mean_pairs=3.0)
-        indices, block = sim.strip_block(5, 45, (238, 274))
-        assert block.dtype == np.uint16 and block.shape == (len(indices), 36, 512)
-        assert len(indices) > 30
-        for k, strip in zip(indices, block):
-            assert np.array_equal(strip, sim.frame(int(k))[238:274])
+        block = sim.strip_block(5, 45, (238, 274))
+        nonblank = [k for k in range(5, 45) if sim.frame(k).max() > 0]
+        assert len(nonblank) > 30
+        assert block.dtype == np.uint16
+        want = np.stack([sim.frame(k)[238:274] for k in nonblank])
+        assert block.shape == want.shape == (len(nonblank), 36, 512)
+        assert np.array_equal(block, want)
 
     def test_strip_block_draws_each_frame_once(self, monkeypatch):
         sim = self.make_sim(mean_pairs=1.0)

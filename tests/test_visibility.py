@@ -11,14 +11,11 @@ from twophoton.patterns import (
     excess_closed_form,
     marginal_pattern,
     single_photon_pattern,
-    slit_envelope,
 )
 from twophoton.visibility import (
     VisibilitySet,
-    check_complementarity,
     fit_fringe_visibility,
     fit_joint_visibility,
-    v12_from_v1,
     visibilities_from_psi,
 )
 
@@ -47,19 +44,18 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             visibilities_from_psi(1.5)
         with pytest.raises(InvalidParameterError):
-            v12_from_v1(-1.2)
+            visibilities_from_psi(-1.2)
 
     @given(st.floats(-1.0, 1.0))
     def test_complementarity_identity(self, psi):
         v = visibilities_from_psi(psi)
-        residual, ok = check_complementarity(v)
-        assert ok
-        assert residual < 1e-12
+        assert abs(v.v1m**2 + v.v12**2 - 1.0) < 1e-12
 
     @given(st.floats(-1.0, 1.0))
     def test_v12_from_v1_consistent(self, psi):
+        # V12 = (1 - V1^2) / (1 + V1^2): the one-photon visibility fixes V12
         v = visibilities_from_psi(psi)
-        assert v12_from_v1(v.v1) == pytest.approx(v.v12, abs=1e-12)
+        assert (1 - v.v1**2) / (1 + v.v1**2) == pytest.approx(v.v12, abs=1e-12)
 
 
 class TestFringeFit:
@@ -82,16 +78,6 @@ class TestFringeFit:
         fit0 = fit_fringe_visibility(p, PERIOD)
         fit1 = fit_fringe_visibility(quantized, PERIOD)
         assert abs(fit0.visibility - fit1.visibility) < 1e-8
-
-    def test_envelope_divided_out(self):
-        grid = fringe_grid(periods=30, n=3000)
-        p = single_photon_pattern(0.6, PERIOD, grid)
-        env = slit_envelope(0.35e-3, 812e-9, 50e-3, grid)
-        from twophoton.patterns import FringePattern1D
-
-        modulated = FringePattern1D(grid, p.values * env, PERIOD)
-        fit = fit_fringe_visibility(modulated, PERIOD, envelope=env)
-        assert fit.visibility == pytest.approx(0.6, abs=1e-9)
 
     def test_noisy_fringe_within_tolerance(self):
         rng = np.random.default_rng(3)
