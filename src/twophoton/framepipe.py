@@ -275,7 +275,7 @@ def vertical_acceptance(
     return float(out) if np.isscalar(delta_col) else out
 
 
-def missing_band_mask(width: int, patch_size: int = 3) -> np.ndarray:
+def missing_band_mask(width: int, patch_size: int) -> np.ndarray:
     """Cells the pipeline cannot estimate: |col' - col''| <= patch size.
 
     Two photons this close merge into a single detected patch (or are cut
