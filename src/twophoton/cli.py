@@ -186,7 +186,7 @@ def cmd_analyze(args) -> int:
     config = build_config(args)
     out = _out_dir(args)
     reader = FrameFileReader(args.frames_file)
-    result = analyze_source(reader, config.analysis_config(), workers=args.threads)
+    result = analyze_source(reader, config.analysis_config())
     recovered = recover_visibilities(
         result, config.fringe_period, config.camera.quantum_efficiency
     )
@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
     config = build_config(args)
     out = _out_dir(args)
     distances = args.d or [0.055, 0.063, 0.30, 0.54, 0.87]
-    points = sweep(config, distances, monte_carlo=args.monte_carlo, workers=args.threads)
+    points = sweep(config, distances, monte_carlo=args.monte_carlo)
     with open(out / "sweep.csv", "w") as f:
         f.write("d_m,psi,v1,v1m,v12,mc_v1m,mc_v12\n")
         for p in points:
@@ -264,14 +264,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument("--frames", type=int, help="frame count override")
 
-    def threads_flag(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="split the analysis into N frame ranges, reduced and merged in order",
-        )
-
     def distance_flag(p, repeat=False):
         p.add_argument(
             "--d",
@@ -290,7 +282,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="reduce a frame file")
     p_an.add_argument("frames_file", help="BIFR frame file")
     common(p_an)
-    threads_flag(p_an)
     p_sw = sub.add_parser("sweep", help="visibilities versus distance")
     p_sw.add_argument(
         "--monte-carlo",
@@ -299,7 +290,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     common(p_sw)
     run_flags(p_sw)
-    threads_flag(p_sw)
     distance_flag(p_sw, repeat=True)
     return parser
 

@@ -245,14 +245,12 @@ class ClosureResult:
     analysis: AnalysisResult
 
 
-def run_closure(
-    config: ExperimentConfig, psi: float | None = None, workers: int = 1
-) -> ClosureResult:
+def run_closure(config: ExperimentConfig, psi: float | None = None) -> ClosureResult:
     """Simulate a full run in memory, reduce it, and fit the visibilities."""
     if psi is None:
         psi = analytic_summary(config).psi
     sim = build_simulator(config, psi)
-    analysis = analyze_source(sim, config.analysis_config(), workers=workers)
+    analysis = analyze_source(sim, config.analysis_config())
     recovered = recover_visibilities(
         analysis, config.fringe_period, config.camera.quantum_efficiency
     )
@@ -274,7 +272,6 @@ def sweep(
     config: ExperimentConfig,
     distances: list[float],
     monte_carlo: bool = False,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Analytic (and optionally Monte Carlo) visibilities versus distance."""
     points = []
@@ -286,7 +283,7 @@ def sweep(
         mc_v1m = mc_v12 = None
         if monte_carlo:
             run_cfg = replace(config, distance=d, seed=config.seed + i)
-            closure = run_closure(run_cfg, psi=summary.psi, workers=workers)
+            closure = run_closure(run_cfg, psi=summary.psi)
             mc_v1m, mc_v12 = closure.recovered.v1m, closure.recovered.v12
         points.append(SweepPoint(d, summary.psi, v.v1, v.v1m, v.v12, mc_v1m, mc_v12))
     return points

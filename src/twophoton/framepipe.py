@@ -16,7 +16,6 @@ only; ``process_frame`` is the per-frame reference it must equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import ndimage, stats
@@ -349,7 +348,7 @@ def finalize(
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
-    return JointPattern2D(grid, est / total, "coincidence", unit_sum=True), missing
+    return JointPattern2D(grid, est / total, "coincidence"), missing
 
 
 def superpixel_bin(matrix: np.ndarray, factor: int = 4) -> np.ndarray:
@@ -479,19 +478,6 @@ class AnalysisResult:
     config: AnalysisConfig
 
 
-def _stacked_strip_block(
-    source, lo: int, hi: int, rows: tuple[int, int], width: int
-) -> np.ndarray:
-    """``strip_block`` for a source that only offers ``frame(k)``.
-
-    Copies the rows out of each frame, so no full frame outlives its step.
-    """
-    block = np.empty((hi - lo, rows[1] - rows[0], width), dtype=np.uint16)
-    for out, k in zip(block, range(lo, hi)):
-        out[...] = source.frame(k)[rows[0] : rows[1]]
-    return block
-
-
 def _block_events(
     frames: np.ndarray, v0: int, cfg: AnalysisConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -532,15 +518,12 @@ def _reduce_range(
     """
     width = cfg.camera.width
     rows = _strip_window(cfg.camera)
-    strip_block = getattr(source, "strip_block", None)
-    if strip_block is None:
-        strip_block = partial(_stacked_strip_block, source, width=width)
     acc = CoincidenceAccumulator(width)
     acc.frames_total = hi - lo
     singles = [np.empty(0, dtype=np.int64)]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for b0 in range(lo, hi, block):
-        frames = strip_block(b0, min(b0 + block, hi), rows)
+        frames = source.strip_block(b0, min(b0 + block, hi), rows)
         f, row, col = _block_events(frames, rows[0], cfg)
         per_frame = np.bincount(f, minlength=len(frames))
         acc.frames_single += int(np.count_nonzero(per_frame == 1))
@@ -565,7 +548,7 @@ def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) 
     """Reduce a frame source (BIFR reader or simulator) end to end.
 
     A source has a ``shape = (height, width)``, which must be the camera's,
-    and offers ``strip_block(lo, hi, rows)`` or just ``frame(k)``.
+    a length, and ``strip_block(lo, hi, rows)``.
     Frames are split into ``workers`` contiguous index ranges, each reduced
     on the calling thread into a private accumulator and merged in index
     order — the result is identical for any worker count.

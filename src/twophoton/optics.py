@@ -2,16 +2,15 @@
 
 A kernel maps a complex field sampled on an input grid to a field on an
 output grid.  The two physical kernels here are the paraxial free-space
-propagator and the Fourier-transforming lens in 2f configuration; a
-double-slit plane composes two kernels into a two-path system response.
-All kernels drop constant prefactors: every downstream quantity is
+propagator and the Fourier-transforming lens in 2f configuration; the
+double-slit patterns read their rows and columns at the two slits.  All
+kernels drop constant prefactors: every downstream quantity is
 normalized, so only relative phase and amplitude matter.
 
 The slit-plane correlations only read the illumination kernel averaged over
 each slit; ``slit_averaged_rows`` gives those two rows in closed form.  The
 sampled kernels and ``slit_rows`` remain as the grid route it is tested
-against, and ``slit_columns`` / ``compose_two_path`` serve the general
-detection routes.
+against, and ``slit_columns`` serves the general detection routes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import CompositionError, InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError, OutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,6 @@ class SpatialGrid:
     @property
     def extent(self) -> float:
         return self.x_max - self.x_min
-
-    @classmethod
-    def centered(cls, half_width: float, n: int) -> "SpatialGrid":
-        return cls(-half_width, half_width, n)
 
     @classmethod
     def cell_centered(cls, width: float, n: int) -> "SpatialGrid":
@@ -252,21 +247,3 @@ def slit_rows(kernel: LinearKernel, slits: SlitPair) -> tuple[np.ndarray, np.nda
 def slit_columns(kernel: LinearKernel, slits: SlitPair) -> tuple[np.ndarray, np.ndarray]:
     """Kernel columns h(., x1), h(., x2); the slits lie on ``grid_in``."""
     return slit_rows(kernel.transposed(), slits)
-
-
-def compose_two_path(
-    h1: LinearKernel, h2: LinearKernel, slits: SlitPair
-) -> LinearKernel:
-    """Two-path system response through a double slit.
-
-    h(x_out, x_in) = h2(x_out, x1) h1(x1, x_in) + h2(x_out, x2) h1(x2, x_in),
-    where the slit plane is h1's output grid and h2's input grid.
-    """
-    if h1.grid_out != h2.grid_in:
-        raise CompositionError(
-            "h1 output grid and h2 input grid differ; cannot compose"
-        )
-    r1, r2 = slit_rows(h1, slits)
-    c1, c2 = slit_columns(h2, slits)
-    values = np.outer(c1, r1) + np.outer(c2, r2)
-    return LinearKernel(h1.grid_in, h2.grid_out, values)

@@ -65,7 +65,6 @@ class JointPattern2D:
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
     kind: str = "coincidence"
-    unit_sum: bool = False
     period: float | None = None
 
     def __post_init__(self):
@@ -82,7 +81,7 @@ class JointPattern2D:
         return float(np.sum(self.values) * self.cell_area())
 
 
-def _unit_sum(values: np.ndarray, dx: float) -> np.ndarray:
+def _normalized(values: np.ndarray, dx: float) -> np.ndarray:
     s = values.sum() * dx * dx
     if s <= 0:
         raise InvalidParameterError("pattern has non-positive total; cannot normalize")
@@ -150,8 +149,8 @@ def coincidence_general(
         + (np.outer(c1, c2) + np.outer(c2, c1)) * corr.p12
     )
     g2 = np.abs(psi2) ** 2
-    g2 = _unit_sum(g2, h2.grid_out.spacing)
-    return JointPattern2D(h2.grid_out, g2, "coincidence", unit_sum=True)
+    g2 = _normalized(g2, h2.grid_out.spacing)
+    return JointPattern2D(h2.grid_out, g2, "coincidence")
 
 
 def coincidence_pattern(
@@ -187,8 +186,8 @@ def coincidence_pattern(
         )
     else:
         raise InvalidParameterError(f"unknown form {form!r}")
-    v = _unit_sum(v, grid.spacing)
-    return JointPattern2D(grid, v, "coincidence", unit_sum=True, period=period)
+    v = _normalized(v, grid.spacing)
+    return JointPattern2D(grid, v, "coincidence", period=period)
 
 
 def marginal_pattern(g2: JointPattern2D) -> FringePattern1D:
@@ -236,7 +235,7 @@ def excess_pattern(
     cell = g2.cell_area()
     n_roi = int(mask2.sum())
     a = (1.0 - raw[mask2].sum() * cell) / (n_roi * cell)
-    return JointPattern2D(g2.grid, raw + a, "excess", unit_sum=False, period=period)
+    return JointPattern2D(g2.grid, raw + a, "excess", period=period)
 
 
 def excess_closed_form(
@@ -271,5 +270,5 @@ def excess_closed_form(
         mask2 = np.outer(roi, roi)
         cell = grid.spacing ** 2
         offset = (1.0 - v[mask2].sum() * cell) / (int(mask2.sum()) * cell)
-    return JointPattern2D(grid, v + offset, "excess", unit_sum=False, period=period)
+    return JointPattern2D(grid, v + offset, "excess", period=period)
 

@@ -1,15 +1,15 @@
 """Monte Carlo photon-pair generation and synthetic camera frames.
 
-Pairs of detector positions are drawn from a discrete joint probability
-density, thinned by the quantum efficiency, given a vertical coordinate
+Pairs of pixel columns are drawn from a discrete joint probability density
+on the camera's pixel grid, thinned by the quantum efficiency, given a row
 inside the readout strip, and rendered as small above-threshold analog
-patches on a pixel raster, the way an intensified camera registers single
+patches on the pixel raster, the way an intensified camera registers single
 photons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,10 @@ class CameraModel:
         r0, r1 = self.strip_rows
         if not (0 <= r0 <= r1 < self.height):
             raise InvalidParameterError("strip rows must lie inside the frame")
+        for name in ("peak_range", "neighbor_range"):
+            low, high = getattr(self, name)
+            if not 0 < low <= high <= 1:
+                raise InvalidParameterError(f"{name} must satisfy 0 < low <= high <= 1")
         lo = self.peak_range[0] * self.neighbor_range[0]
         if lo <= self.threshold:
             raise InvalidParameterError(
@@ -81,28 +85,12 @@ class CameraModel:
         half = (self.width - 1) / 2 * self.pitch
         return SpatialGrid(-half, half, self.width)
 
-    def position_to_col(self, x: np.ndarray) -> np.ndarray:
-        col = np.rint(x / self.pitch + (self.width - 1) / 2).astype(int)
-        return np.clip(col, 0, self.width - 1)
-
 
 @dataclass(frozen=True)
 class PhotonEvent:
     row: int
     col: int
     peak: int = 0
-
-
-def sample_pairs(
-    pdf: JointPattern2D, n_pairs: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw (x', x'') position pairs from a discrete joint density.
-
-    Inverse-CDF sampling over the flattened cell probabilities, with uniform
-    jitter inside each cell.  Returns an (n_pairs, 2) array of positions.
-    """
-    cdf = _pair_cdf(pdf)
-    return _sample_from_cdf(cdf, pdf.grid.positions, pdf.grid.spacing, n_pairs, rng)
 
 
 def _pair_cdf(pdf: JointPattern2D) -> np.ndarray:
@@ -118,34 +106,27 @@ def _pair_cdf(pdf: JointPattern2D) -> np.ndarray:
 
 
 def _sample_from_cdf(
-    cdf: np.ndarray,
-    x: np.ndarray,
-    dx: float,
-    n_pairs: int,
-    rng: np.random.Generator,
+    cdf: np.ndarray, n: int, n_pairs: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pairs of cell-center positions ``x`` (spacing ``dx``) drawn by ``cdf``."""
-    n = x.size
+    """(n_pairs, 2) cell indices of an ``n``-by-``n`` grid drawn by ``cdf``."""
     flat = np.searchsorted(cdf, rng.random(n_pairs), side="right")
     flat = np.minimum(flat, n * n - 1)
-    i, j = np.divmod(flat, n)
-    jitter = rng.uniform(-dx / 2, dx / 2, size=(n_pairs, 2))
-    return np.column_stack([x[i], x[j]]) + jitter
+    # unused, but drawn: two doubles per pair keep every frame's stream as pinned
+    rng.random((n_pairs, 2))
+    return np.column_stack(np.divmod(flat, n))
 
 
 def apply_detection(
-    pairs: np.ndarray, quantum_efficiency: float, rng: np.random.Generator
+    cells: np.ndarray, quantum_efficiency: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Thin pair positions by the quantum efficiency.
+    """Thin photon pairs by the quantum efficiency.
 
     Each photon of each pair survives independently.  Returns the surviving
-    positions as a flat array, pair by pair.
+    photons' entries as a flat array, pair by pair.
     """
     if not 0 <= quantum_efficiency <= 1:
         raise InvalidParameterError("quantum efficiency must be in [0, 1]")
-    if len(pairs) == 0:
-        return np.empty(0)
-    flat = np.asarray(pairs, dtype=float).ravel()
+    flat = np.asarray(cells).ravel()
     survive = rng.random(flat.size) < quantum_efficiency
     return flat[survive]
 
@@ -203,10 +184,11 @@ def render_frame(
 class FrameSimulator:
     """Deterministic frame stream for a joint coincidence density.
 
-    Frame ``k`` is a pure function of (pattern, camera, mean_pairs, seed, k):
-    every frame derives its own random generator from the master seed and
-    the frame index, so generation parallelizes over frame ranges without
-    changing the output.
+    The pattern must be sampled on ``camera.pixel_grid()``: its cells are the
+    camera's pixel columns.  Frame ``k`` is a pure function of (pattern,
+    camera, mean_pairs, seed, k): every frame derives its own random
+    generator from the master seed and the frame index, so generation
+    parallelizes over frame ranges without changing the output.
     """
 
     pattern: JointPattern2D
@@ -215,13 +197,16 @@ class FrameSimulator:
     mean_pairs: float
     seed: int
     _cdf: np.ndarray = field(init=False, repr=False)
-    _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_frames < 0 or self.mean_pairs < 0:
             raise InvalidParameterError("frame count and pair rate must be >= 0")
+        if self.pattern.grid != self.camera.pixel_grid():
+            raise InvalidParameterError(
+                f"pattern grid {self.pattern.grid} is not the camera's pixel grid "
+                f"{self.camera.pixel_grid()}"
+            )
         self._cdf = _pair_cdf(self.pattern)
-        self._positions = self.pattern.grid.positions
 
     def __len__(self) -> int:
         return self.n_frames
@@ -246,12 +231,9 @@ class FrameSimulator:
         n_pairs = int(rng.poisson(self.mean_pairs))
         events: list[PhotonEvent] = []
         if n_pairs > 0:
-            positions = _sample_from_cdf(
-                self._cdf, self._positions, self.pattern.grid.spacing, n_pairs, rng
-            )
-            surviving = apply_detection(positions, cam.quantum_efficiency, rng)
-            if surviving.size:
-                cols = cam.position_to_col(surviving)
+            cells = _sample_from_cdf(self._cdf, cam.width, n_pairs, rng)
+            cols = apply_detection(cells, cam.quantum_efficiency, rng)
+            if cols.size:
                 rows = rng.integers(cam.strip_rows[0], cam.strip_rows[1] + 1, size=cols.size)
                 events = [PhotonEvent(int(r), int(c)) for r, c in zip(rows, cols)]
         n_dark = int(rng.poisson(cam.dark_rate))

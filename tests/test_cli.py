@@ -136,9 +136,7 @@ class TestAnalyze:
         run = tmp_path / "run"
         assert main(["simulate", "--frames", "3000", "--seed", "11", "--out", str(run)]) == 0
         out = tmp_path / "analysis"
-        code = main(
-            ["analyze", str(run / "frames.bifr"), "--out", str(out), "--threads", "2"]
-        )
+        code = main(["analyze", str(run / "frames.bifr"), "--out", str(out)])
         assert code == 0
         report = json.loads((out / "analysis.json").read_text())
         assert report["frames_total"] == 3000
@@ -202,6 +200,8 @@ class TestFlags:
             ["pattern", "--threads", "2"],
             ["pattern", "--seed", "1"],
             ["simulate", "--threads", "2"],
+            ["analyze", "frames.bifr", "--threads", "2"],
+            ["sweep", "--threads", "2"],
         ],
     )
     def test_flag_a_subcommand_ignores_exits_2(self, argv, tmp_path, capsys):

@@ -37,16 +37,19 @@ from twophoton.sensor import (
     PhotonEvent,
     render_frame,
 )
-from twophoton.optics import SpatialGrid
 from twophoton.patterns import JointPattern2D
 
 STRIP = (240, 271)
 
 
-def uniform_pdf(n=64):
-    grid = SpatialGrid(-1e-3, 1e-3, n)
-    v = np.ones((n, n)) / (n * n * grid.spacing**2)
-    return JointPattern2D(grid, v, "coincidence", unit_sum=True)
+def uniform_pdf(camera):
+    grid = camera.pixel_grid()
+    v = np.ones((grid.n, grid.n)) / (grid.n**2 * grid.spacing**2)
+    return JointPattern2D(grid, v, "coincidence")
+
+
+def uniform_sim(camera, n_frames, mean_pairs, seed):
+    return FrameSimulator(uniform_pdf(camera), camera, n_frames, mean_pairs, seed)
 
 
 class TestAnalysisConfig:
@@ -423,7 +426,7 @@ class TestRates:
 
 class TestAnalyzeSource:
     def make_sim(self, n_frames=400, seed=77):
-        return FrameSimulator(uniform_pdf(), CameraModel(), n_frames, 0.8, seed)
+        return uniform_sim(CameraModel(), n_frames, 0.8, seed)
 
     def test_worker_invariance(self):
         sim = self.make_sim()
@@ -446,13 +449,15 @@ class TestAnalyzeSource:
         sim = self.make_sim(n_frames=150, seed=78)
 
         class NoFastPath:
+            """Every frame rendered in full, blank or not."""
+
             shape = sim.shape
 
             def __len__(self):
                 return len(sim)
 
-            def frame(self, k):
-                return sim.frame(k)
+            def strip_block(self, lo, hi, rows):
+                return np.stack([sim.frame(k) for k in range(lo, hi)])[:, rows[0] : rows[1]]
 
         cfg = AnalysisConfig(camera=sim.camera)
         a = analyze_source(sim, cfg).accumulator
@@ -494,17 +499,17 @@ def per_frame_reference(frames, cfg, width):
 
 
 class FrameList:
-    """A source offering only ``frame(k)``."""
+    """A source over a stack of whole frames."""
 
     def __init__(self, frames):
-        self.frames = frames
-        self.shape = frames[0].shape
+        self.frames = np.stack(frames)
+        self.shape = self.frames.shape[1:]
 
     def __len__(self):
         return len(self.frames)
 
-    def frame(self, k):
-        return self.frames[k]
+    def strip_block(self, lo, hi, rows):
+        return self.frames[lo:hi, rows[0] : rows[1]]
 
 
 SMALL_CAM = CameraModel(width=16, height=12, strip_rows=(3, 7))
@@ -514,21 +519,21 @@ T = SMALL_CAM.threshold_analog
 class TestBlockReduction:
     @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
-        sim = FrameSimulator(uniform_pdf(), CameraModel(), 300, mean_pairs, seed=21)
+        sim = uniform_sim(CameraModel(), 300, mean_pairs, seed=21)
         cfg = AnalysisConfig(camera=sim.camera)
         want = accumulator_key(per_frame_reference(sim.iter_frames(), cfg, sim.camera.width))
         for block in (1, 7, 64, 256):
             assert accumulator_key(_reduce_range(sim, cfg, 0, 300, block)) == want
 
     def test_subrange(self):
-        sim = FrameSimulator(uniform_pdf(), CameraModel(), 120, 2.0, seed=22)
+        sim = uniform_sim(CameraModel(), 120, 2.0, seed=22)
         cfg = AnalysisConfig(camera=sim.camera)
         frames = [sim.frame(k) for k in range(37, 101)]
         got = _reduce_range(sim, cfg, 37, 101, 16)
         assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, cfg, 512))
 
     def test_blank_blocks_count_as_empty(self):
-        sim = FrameSimulator(uniform_pdf(), CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
+        sim = uniform_sim(CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
         cfg = AnalysisConfig(camera=sim.camera)
         acc = _reduce_range(sim, cfg, 0, 100, 16)
         assert acc.frames_total == acc.frames_empty == 100

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twophoton.errors import CompositionError, InvalidParameterError, OutOfRangeError
+from twophoton.errors import InvalidParameterError, OutOfRangeError
 from twophoton.optics import (
     LinearKernel,
     SlitPair,
     SpatialGrid,
-    compose_two_path,
     fourier_2f_kernel,
     fresnel_kernel,
     slit_averaged_rows,
@@ -134,30 +133,6 @@ class TestSlitSelection:
         c1, c2 = slit_columns(k, slits)
         i1 = grid_in.nearest_index(-0.3e-3)
         assert np.array_equal(c1, k.values[:, i1])
-
-
-class TestComposeTwoPath:
-    def test_two_path_superposition(self):
-        gin = SpatialGrid(-1e-3, 1e-3, 16)
-        slit_plane = SpatialGrid(-0.5e-3, 0.5e-3, 101)
-        gout = SpatialGrid(-2e-3, 2e-3, 32)
-        h1 = fresnel_kernel(gin, slit_plane, LAMBDA, 0.1)
-        h2 = fourier_2f_kernel(slit_plane, gout, LAMBDA, FOCAL)
-        slits = SlitPair(0.7e-3, 0.0)
-        h = compose_two_path(h1, h2, slits)
-        r1, r2 = slit_rows(h1, slits)
-        c1, c2 = slit_columns(h2, slits)
-        assert np.allclose(h.values, np.outer(c1, r1) + np.outer(c2, r2))
-
-    def test_grid_mismatch_raises(self):
-        gin = SpatialGrid(-1e-3, 1e-3, 16)
-        plane_a = SpatialGrid(-0.5e-3, 0.5e-3, 101)
-        plane_b = SpatialGrid(-0.5e-3, 0.5e-3, 102)
-        gout = SpatialGrid(-2e-3, 2e-3, 32)
-        h1 = fresnel_kernel(gin, plane_a, LAMBDA, 0.1)
-        h2 = fourier_2f_kernel(plane_b, gout, LAMBDA, FOCAL)
-        with pytest.raises(CompositionError):
-            compose_two_path(h1, h2, SlitPair(0.7e-3))
 
 
 class TestSlitAveragedRows:

@@ -13,19 +13,27 @@ from twophoton.sensor import (
     FrameSimulator,
     PhotonEvent,
     apply_detection,
+    _pair_cdf,
+    _sample_from_cdf,
     render_frame,
-    sample_pairs,
 )
 
+PIXELS = CameraModel().pixel_grid()
 
-def make_pdf(n=16, delta=None):
-    grid = SpatialGrid(-1e-3, 1e-3, n)
+
+def make_pdf(grid, delta=None):
+    n = grid.n
     v = np.ones((n, n))
     if delta is not None:
         v = np.zeros((n, n))
         v[delta] = 1.0
     v = v / (v.sum() * grid.spacing**2)
-    return JointPattern2D(grid, v, "coincidence", unit_sum=True)
+    return JointPattern2D(grid, v, "coincidence")
+
+
+def sample_cells(n, delta=None, n_pairs=100_000, seed=0):
+    pdf = make_pdf(SpatialGrid(-1e-3, 1e-3, n), delta)
+    return _sample_from_cdf(_pair_cdf(pdf), n, n_pairs, np.random.default_rng(seed))
 
 
 class TestCameraModel:
@@ -42,12 +50,6 @@ class TestCameraModel:
         assert g.n == 512
         assert g.spacing == pytest.approx(24e-6)
         assert g.x_min == pytest.approx(-g.x_max)
-
-    def test_position_to_col_roundtrip(self):
-        cam = CameraModel()
-        g = cam.pixel_grid()
-        cols = cam.position_to_col(g.positions)
-        assert np.array_equal(cols, np.arange(512))
 
     def test_invalid_models(self):
         with pytest.raises(InvalidParameterError):
@@ -76,29 +78,33 @@ class TestCameraModel:
         with pytest.raises(InvalidParameterError):
             CameraModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("peak_range", (1.2, 1.5)),
+            ("peak_range", (0.0, 0.5)),
+            ("peak_range", (0.8, 0.6)),
+            ("neighbor_range", (0.4, 1.3)),
+        ],
+    )
+    def test_patch_ranges_within_full_scale(self, name, value):
+        # a level above full scale wraps in the uint16 frame
+        with pytest.raises(InvalidParameterError, match=name):
+            CameraModel(**{name: value})
+
 
 class TestSamplePairs:
     def test_delta_pdf_hits_one_cell(self):
-        pdf = make_pdf(delta=(3, 7))
-        rng = np.random.default_rng(0)
-        pairs = sample_pairs(pdf, 500, rng)
-        x = pdf.grid.positions
-        dx = pdf.grid.spacing
-        assert np.all(np.abs(pairs[:, 0] - x[3]) <= dx / 2 + 1e-15)
-        assert np.all(np.abs(pairs[:, 1] - x[7]) <= dx / 2 + 1e-15)
+        cells = sample_cells(16, delta=(3, 7), n_pairs=500)
+        assert cells.shape == (500, 2)
+        assert np.all(cells == (3, 7))
 
     def test_uniform_pdf_counts_within_3_sigma(self):
         n = 8
-        pdf = make_pdf(n=n)
-        rng = np.random.default_rng(1)
         samples = 100_000
-        pairs = sample_pairs(pdf, samples, rng)
-        edges = np.linspace(
-            pdf.grid.x_min - pdf.grid.spacing / 2,
-            pdf.grid.x_max + pdf.grid.spacing / 2,
-            n + 1,
-        )
-        hist, *_ = np.histogram2d(pairs[:, 0], pairs[:, 1], bins=[edges, edges])
+        cells = sample_cells(n, n_pairs=samples, seed=1)
+        hist = np.bincount(cells[:, 0] * n + cells[:, 1], minlength=n * n)
+        assert hist.size == n * n
         p = 1 / n**2
         sigma = np.sqrt(samples * p * (1 - p))
         assert np.all(np.abs(hist - samples * p) < 3.6 * sigma)
@@ -106,12 +112,10 @@ class TestSamplePairs:
     def test_swap_symmetry(self):
         # symmetric pdf: (x', x'') and (x'', x') histograms agree statistically
         n = 6
-        pdf = make_pdf(n=n)
-        rng = np.random.default_rng(2)
-        pairs = sample_pairs(pdf, 100_000, rng)
-        edges = np.linspace(pdf.grid.x_min, pdf.grid.x_max, 4)
-        h1, *_ = np.histogram2d(pairs[:, 0], pairs[:, 1], bins=[edges, edges])
-        h2, *_ = np.histogram2d(pairs[:, 1], pairs[:, 0], bins=[edges, edges])
+        cells = sample_cells(n, seed=2)
+        edges = [0, 2, 4, 6]
+        h1, *_ = np.histogram2d(cells[:, 0], cells[:, 1], bins=[edges, edges])
+        h2, *_ = np.histogram2d(cells[:, 1], cells[:, 0], bins=[edges, edges])
         stat = np.sum((h1 - h2) ** 2 / (h1 + h2))
         assert stats.chi2.sf(stat, 9) > 1e-4
 
@@ -121,7 +125,7 @@ class TestSamplePairs:
         v[0, 0] = -1.0
         pdf = JointPattern2D(grid, v, "coincidence")
         with pytest.raises(InvalidParameterError):
-            sample_pairs(pdf, 10, np.random.default_rng(0))
+            _sample_from_cdf(_pair_cdf(pdf), 4, 10, np.random.default_rng(0))
 
 
 class TestApplyDetection:
@@ -202,12 +206,31 @@ class TestRenderFrame:
 
 class TestFrameSimulator:
     def make_sim(self, n_frames=200, mean_pairs=0.5, seed=42):
-        return FrameSimulator(make_pdf(), CameraModel(), n_frames, mean_pairs, seed)
+        return FrameSimulator(make_pdf(PIXELS), CameraModel(), n_frames, mean_pairs, seed)
 
     def test_shape_is_the_camera_frame(self):
         cam = CameraModel(width=64, height=40, strip_rows=(10, 20))
-        sim = FrameSimulator(make_pdf(), cam, 5, 0.5, 1)
+        sim = FrameSimulator(make_pdf(cam.pixel_grid()), cam, 5, 0.5, 1)
         assert sim.shape == (40, 64) == sim.frame(0).shape
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SpatialGrid(-20e-3, 20e-3, 512),  # reaches far past the camera
+            SpatialGrid(-1e-3, 1e-3, 64),
+            SpatialGrid(-255.5 * 25e-6, 255.5 * 25e-6, 512),  # another pitch
+        ],
+    )
+    def test_pattern_off_the_pixel_grid_rejected(self, grid):
+        with pytest.raises(InvalidParameterError, match="pixel grid"):
+            FrameSimulator(make_pdf(grid), CameraModel(), 10, 0.5, 1)
+
+    def test_pdf_cells_are_event_columns(self):
+        cam = CameraModel(quantum_efficiency=1.0)
+        sim = FrameSimulator(make_pdf(cam.pixel_grid(), delta=(3, 300)), cam, 20, 3.0, 5)
+        events = [e for k in range(20) for e in sim.frame_events(k)[0]]
+        assert len(events) > 20
+        assert [e.col for e in events] == [3, 300] * (len(events) // 2)
 
     def test_determinism(self):
         a, b = self.make_sim(), self.make_sim()
@@ -226,7 +249,7 @@ class TestFrameSimulator:
 
     def test_zero_mean_pairs_only_darks(self):
         sim = FrameSimulator(
-            make_pdf(), CameraModel(dark_rate=0.0), 50, 0.0, seed=1
+            make_pdf(PIXELS), CameraModel(dark_rate=0.0), 50, 0.0, seed=1
         )
         assert all(sim.frame(k).max() == 0 for k in range(50))
 
@@ -282,7 +305,7 @@ class TestFrameSimulator:
     def test_pair_survival_statistics(self):
         # eta = 0.5: a one-pair frame keeps both photons with probability 1/4
         sim = FrameSimulator(
-            make_pdf(), CameraModel(dark_rate=0.0), 4000, 1e-9, seed=9
+            make_pdf(PIXELS), CameraModel(dark_rate=0.0), 4000, 1e-9, seed=9
         )
         # force exactly one pair per frame by sampling events directly
         rng = np.random.default_rng(10)
