@@ -286,19 +286,57 @@ def missing_band_mask(width: int, patch_size: int) -> np.ndarray:
 
 
 def _interpolate_missing(values: np.ndarray, missing: np.ndarray, window: int = 7) -> np.ndarray:
-    """Fill missing cells with the mean of valid cells in a square window."""
+    """Fill missing cells with the mean of valid cells in a square window.
+
+    Only the missing cells' windows are read; cells beyond the matrix edge
+    count as invalid.  A cell with no valid neighbor waits for a later pass,
+    which also reads the cells filled before it.
+    """
     out = values.copy()
     todo = missing.copy()
+    half = window // 2
+    n0, n1 = out.shape
+    offsets = np.arange(-half, half + 1)
     while todo.any():
-        valid = (~todo).astype(float)
-        num = ndimage.uniform_filter(out * valid, size=window, mode="constant")
-        den = ndimage.uniform_filter(valid, size=window, mode="constant")
-        fixable = todo & (den > 0)
-        if not fixable.any():
+        cells = np.flatnonzero(todo)
+        r, c = np.divmod(cells, n1)
+        rows = r[:, None, None] + offsets[:, None]
+        cols = c[:, None, None] + offsets
+        inside = ((rows >= 0) & (rows < n0)) & ((cols >= 0) & (cols < n1))
+        window_cells = np.clip(rows, 0, n0 - 1) * n1 + np.clip(cols, 0, n1 - 1)
+        valid = inside & ~todo.take(window_cells)
+        den = valid.sum(axis=(1, 2))
+        fix = den > 0
+        if not fix.any():
             break
-        out[fixable] = num[fixable] / den[fixable]
-        todo &= ~fixable
+        num = (out.take(window_cells) * valid).sum(axis=(1, 2))
+        cells = cells[fix]
+        out.ravel()[cells] = num[fix] / den[fix]
+        todo.ravel()[cells] = False
     return out
+
+
+def _acceptance_scale(
+    acc: CoincidenceAccumulator, cfg: AnalysisConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell acceptance correction factor (0 on missing cells), and the
+    missing mask: the band of ``missing_band_mask`` plus every separation the
+    vertical filter never accepts.
+
+    Both depend only on |delta col|, so each is built as a profile over the
+    separations and indexed once per cell.
+    """
+    cam = cfg.camera
+    if acc.width != cam.width:
+        raise InvalidParameterError(
+            f"accumulator width {acc.width} differs from the camera width {cam.width}"
+        )
+    idx = np.arange(acc.width)
+    accept = vertical_acceptance(idx, cam.strip_height, cfg.ratio)
+    band = (idx <= cam.patch_size) | (accept <= 0)
+    scale = np.where(band, 0.0, 1.0 / np.where(accept > 0, accept, 1.0))
+    dc = np.abs(idx[:, None] - idx[None, :])
+    return scale[dc], band[dc]
 
 
 def corrected_counts(
@@ -310,21 +348,9 @@ def corrected_counts(
     acceptance; variances follow Poisson statistics of the raw counts scaled
     by the same factor squared.
     """
-    cam = cfg.camera
-    if acc.width != cam.width:
-        raise InvalidParameterError(
-            f"accumulator width {acc.width} differs from the camera width {cam.width}"
-        )
-    idx = np.arange(acc.width)
-    dc = np.abs(idx[:, None] - idx[None, :])
-    missing = missing_band_mask(acc.width, cam.patch_size)
+    scale, missing = _acceptance_scale(acc, cfg)
     raw = acc.matrix.astype(float)
-    a2d = vertical_acceptance(idx, cam.strip_height, cfg.ratio)[dc]
-    missing = missing | (a2d <= 0)
-    scale = np.where(missing, 0.0, 1.0 / np.where(a2d > 0, a2d, 1.0))
-    counts = raw * scale
-    variances = raw * scale**2
-    return counts, variances, missing
+    return raw * scale, raw * scale**2, missing
 
 
 def finalize(
@@ -333,15 +359,19 @@ def finalize(
     """Normalized G2 estimate from the accumulated counts, and the mask of
     the cells it interpolated.
 
-    Divides by the total frame count, corrects the vertical-filter
-    acceptance, interpolates the missing near-diagonal band (each missing
-    cell gets the mean of valid cells within 3 pixels), symmetrizes, and
-    unit-sum normalizes on the pixel-center position grid.
+    Divides the acceptance-corrected counts (``corrected_counts``) by the
+    total frame count, fills each missing cell (the near-diagonal band and
+    any separation the vertical filter never accepts) with the mean of the
+    valid cells within 3 pixels of it, symmetrizes, and normalizes to unit
+    sum over the pixel-center position grid.  A 7-pixel window mean holds
+    no fringe whose period is a few pixels, so the filled cells enter the
+    marginal but the joint fit of ``recover_visibilities`` leaves them out.
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    counts, _, missing = corrected_counts(acc, cfg)
-    est = counts / acc.frames_total
+    scale, missing = _acceptance_scale(acc, cfg)
+    est = acc.matrix * scale
+    est /= acc.frames_total
     est = _interpolate_missing(est, missing)
     est = 0.5 * (est + est.T)
     grid = cfg.camera.pixel_grid()

@@ -82,10 +82,12 @@ class JointPattern2D:
 
 
 def _normalized(values: np.ndarray, dx: float) -> np.ndarray:
+    """``values`` scaled in place to unit sum over cells of area dx^2."""
     s = values.sum() * dx * dx
     if s <= 0:
         raise InvalidParameterError("pattern has non-positive total; cannot normalize")
-    return values / s
+    values /= s
+    return values
 
 
 def single_photon_pattern(
@@ -170,10 +172,22 @@ def coincidence_pattern(
         raise InvalidParameterError("period must be positive")
     _check_sampling(grid, period)
     x = grid.positions
-    sp = np.pi * (x[:, None] + x[None, :]) / period
-    dp = np.pi * (x[:, None] - x[None, :]) / period
-    if form == "modulus":
+    # S and D are built in place: the same floats as pi * (x' +- x'') / period
+    sp = np.add.outer(x, x)
+    sp *= np.pi
+    sp /= period
+    dp = np.subtract.outer(x, x)
+    dp *= np.pi
+    dp /= period
+    if form == "modulus" and np.iscomplexobj(psi):
         v = np.abs(np.cos(sp) + psi * np.cos(dp)) ** 2
+    elif form == "modulus":
+        v = np.cos(sp, out=sp)
+        np.cos(dp, out=dp)
+        dp *= psi
+        v += dp
+        np.abs(v, out=v)
+        np.square(v, out=v)
     elif form == "expanded":
         m2 = abs(psi) ** 2
         norm = (1.0 + m2) / 2.0

@@ -48,11 +48,53 @@ class FringeFit:
     residual: float
 
 
+# Column i of ``g`` is g_i = [1, cos t_i, sin t_i] at sample i's fringe phase.
+# Every basis function of a joint fit is the bilinear form g_i^T A g_j of one
+# 3x3 matrix A: in the half sum and difference phases S and D these are 1,
+# cos 2S, sin 2S, cos 2D and sin 2D.
+_JOINT_BASIS = np.zeros((5, 3, 3))
+_JOINT_BASIS[0, 0, 0] = 1.0
+_JOINT_BASIS[1, 1, 1], _JOINT_BASIS[1, 2, 2] = 1.0, -1.0
+_JOINT_BASIS[2, 2, 1], _JOINT_BASIS[2, 1, 2] = 1.0, 1.0
+_JOINT_BASIS[3, 1, 1], _JOINT_BASIS[3, 2, 2] = 1.0, 1.0
+_JOINT_BASIS[4, 2, 1], _JOINT_BASIS[4, 1, 2] = 1.0, -1.0
+
+# Largest condition number of a normal matrix that is solved.  Every basis
+# function has unit amplitude, so the plain condition number measures how
+# well the samples separate them; the normal equations square the design's
+# condition, and past this bound fewer than six digits would be left.
+_MAX_CONDITION = 1e10
+
+
+def _fringe_basis(positions: np.ndarray, period: float) -> np.ndarray:
+    """``g``, shape (3, n): the samples run along contiguous rows, so every
+    reduction over them below is a contiguous inner loop."""
+    t = 2 * np.pi * positions / period
+    return np.stack([np.ones_like(t), np.cos(t), np.sin(t)])
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients of the normal equations ``gram @ coef = rhs``.
+
+    Raises ``UnderDeterminedFitError`` when the samples do not separate the
+    basis functions: a condition number above ``_MAX_CONDITION``.
+    """
+    if not np.linalg.cond(gram) <= _MAX_CONDITION:
+        raise UnderDeterminedFitError("the selected samples do not separate the fit's basis")
+    return np.linalg.solve(gram, rhs)
+
+
+def _norm(values: np.ndarray) -> float:
+    flat = values.ravel()
+    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
+
+
 def fit_fringe_visibility(pattern: FringePattern1D, period: float) -> FringeFit:
     """Linear least-squares fringe fit at a known period.
 
     Fits offset * (1 + V cos(2 pi x / period + phase)) on the basis
-    {1, cos, sin}.  Returns V >= 0 with the sign absorbed into the phase.
+    {1, cos, sin} through its 3x3 normal equations.  Returns V >= 0 with the
+    sign absorbed into the phase; ``residual`` is |model - y| / |y|.
     """
     if period <= 0:
         raise InvalidParameterError("period must be positive")
@@ -64,11 +106,10 @@ def fit_fringe_visibility(pattern: FringePattern1D, period: float) -> FringeFit:
         raise UnderDeterminedFitError(
             f"pattern spans {(x.max() - x.min()) / period:.2f} periods; need >= 2"
         )
-    t = 2 * np.pi * x / period
-    design = np.column_stack([np.ones_like(t), np.cos(t), np.sin(t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    g = _fringe_basis(x, period)
+    coef = _solve_normal(np.einsum("ki,li->kl", g, g), np.einsum("ki,i->k", g, y))
     c0, c1, c2 = coef
-    resid = float(np.linalg.norm(design @ coef - y) / max(np.linalg.norm(y), 1e-300))
+    resid = _norm(np.einsum("ki,k->i", g, coef) - y) / max(_norm(y), 1e-300)
     if c0 <= 0 or (c1 == 0 and c2 == 0):
         return FringeFit(0.0, 0.0, float(c0), resid)
     v = float(np.hypot(c1, c2) / c0)
@@ -82,7 +123,9 @@ class JointFit:
 
     B and C are the signed sum- and difference-coordinate fringe amplitudes;
     v12 solves B = V(1+V)/2, C = -V(1-V)/2 through the scale-free ratio
-    V = (B + C) / (B - C), clamped to [0, 1].
+    V = (B + C) / (B - C), clamped to [0, 1].  ``residual`` is the
+    unweighted |model - y| / |y| over the selected cells, whatever the
+    fit's weights.
     """
 
     v12: float
@@ -104,32 +147,50 @@ def fit_joint_visibility(
     difference phases.  ``mask`` selects the cells used (e.g. to exclude a
     resolution-limited near-diagonal band); ``weights`` are least-squares
     weights on the same cells.
+
+    Each basis function is separable, g_i^T A g_j with g = [1, cos t, sin t],
+    so the 5x5 normal equations come from projections of the cell weights
+    and weighted values onto products of g: no n^2-by-5 design is built.
+    The reductions are two-operand ``einsum`` calls, which run no threaded
+    BLAS routine.
     """
     if period <= 0:
         raise InvalidParameterError("period must be positive")
     grid = excess.grid
     if grid.extent < 2 * period:
         raise UnderDeterminedFitError("excess pattern must span >= 2 periods")
-    t = 2 * np.pi * grid.positions / period
-    s2 = t[:, None] + t[None, :]
-    d2 = t[:, None] - t[None, :]
     y = np.asarray(excess.values, dtype=float)
     sel = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if sel.sum() < 10:
         raise UnderDeterminedFitError("too few cells selected for a joint fit")
-    cols = [np.ones(y.shape), np.cos(s2), np.sin(s2), np.cos(d2), np.sin(d2)]
-    design = np.column_stack([c[sel] for c in cols])
-    ysel = y[sel]
-    if weights is not None:
-        sw = np.sqrt(np.asarray(weights, dtype=float)[sel])
-        coef, *_ = np.linalg.lstsq(design * sw[:, None], ysel * sw, rcond=None)
+    # cells outside the mask are never read, as in a fit of the selected rows
+    if mask is not None:
+        y = np.where(sel, y, 0.0)
+    if weights is None:
+        w = sel.astype(float)
     else:
-        coef, *_ = np.linalg.lstsq(design, ysel, rcond=None)
+        w = np.where(sel, np.asarray(weights, dtype=float), 0.0)
+    g = _fringe_basis(grid.positions, period)
+    n = grid.n
+    # Gram[a, b] = sum_ij w_ij phi_a(i, j) phi_b(i, j)
+    #            = sum A_a[k, l] A_b[m, n] H[km, ln],  H = h^T w h,  h_i = g_i (x) g_i
+    h = np.einsum("ki,mi->kmi", g, g).reshape(9, n)
+    hw = np.einsum("ij,qj->qi", w, h)
+    big_h = np.einsum("pi,qi->pq", h, hw).reshape(3, 3, 3, 3)
+    half = np.einsum("akl,kmln->amn", _JOINT_BASIS, big_h)
+    gram = np.einsum("amn,bmn->ab", half, _JOINT_BASIS)
+    # rhs[a] = A_a : (g^T (w y) g)
+    wy_g = np.einsum("ij,lj->li", w * y, g)
+    rhs = np.einsum("akl,kl->a", _JOINT_BASIS, np.einsum("ki,li->kl", g, wy_g))
+    coef = _solve_normal(gram, rhs)
     a, b = float(coef[0]), float(coef[1])
     c = float(coef[3])
-    resid = float(
-        np.linalg.norm(design @ coef - ysel) / max(np.linalg.norm(ysel), 1e-300)
-    )
+    model_a = np.einsum("a,akl->kl", coef, _JOINT_BASIS)
+    model = np.einsum("li,lj->ij", np.einsum("kl,ki->li", model_a, g), g)
+    model -= y
+    if mask is not None:
+        model *= sel
+    resid = _norm(model) / max(_norm(y), 1e-300)
     denom = b - c
     if abs(denom) < 1e-12 * max(abs(a), 1e-300):
         v12 = 0.0

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import twophoton as tp
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
@@ -155,6 +156,18 @@ class TestAnalyze:
         want = {qe: recover_visibilities(result, PERIOD, qe).v12 for qe in (0.3, 0.5)}
         assert want[0.3] != want[0.5]
         assert json.loads((out / "analysis.json").read_text())["v12"] == want[0.3]
+
+    def test_fits_need_no_least_squares_solver(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
+        assert 0.0 < closure.recovered.v1m <= 1.0
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--frames", "1500", "--seed", "11", "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 0
+        assert json.loads((out / "analysis.json").read_text())["pairs_accepted"] > 0
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bifr"), "--out", str(tmp_path)]) == 3

@@ -83,6 +83,18 @@ class TestCoincidencePattern:
         g2 = coincidence_pattern(0.37, PERIOD, fine_grid())
         assert np.allclose(g2.values, g2.values.T)
 
+    @pytest.mark.parametrize("psi", [0.6, 0.792, -0.3, 0.999, 0.5 * np.exp(0.3j)])
+    def test_in_place_build_matches_the_direct_expression(self, psi):
+        grid = tp.CameraModel().pixel_grid()
+        x = grid.positions
+        sp = np.pi * (x[:, None] + x[None, :]) / PERIOD
+        dp = np.pi * (x[:, None] - x[None, :]) / PERIOD
+        v = np.abs(np.cos(sp) + psi * np.cos(dp)) ** 2
+        want = v / (v.sum() * grid.spacing * grid.spacing)
+        with pytest.warns(AliasingWarning):
+            got = coincidence_pattern(psi, PERIOD, grid)
+        assert np.array_equal(got.values, want)
+
     def test_separable_limit_is_rank_one(self):
         # psi = 1: the amplitude factorizes, so the pattern is an outer product
         g2 = coincidence_pattern(1.0, PERIOD, fine_grid(n=256))

@@ -303,13 +303,18 @@ class TestFrameSimulator:
             assert np.array_equal(reader.frame(k), sim.frame(k))
 
     def test_pair_survival_statistics(self):
-        # eta = 0.5: a one-pair frame keeps both photons with probability 1/4
-        sim = FrameSimulator(
-            make_pdf(PIXELS), CameraModel(dark_rate=0.0), 4000, 1e-9, seed=9
+        # Poisson(m) pairs, each photon kept with probability eta: the number
+        # of events per frame has generating function exp(m (((1-eta) + eta z)^2 - 1))
+        m, eta, n_frames = 1.0, 0.5, 4000
+        cam = CameraModel(quantum_efficiency=eta, dark_rate=0.0)
+        sim = FrameSimulator(make_pdf(PIXELS), cam, n_frames, m, seed=9)
+        counts = np.bincount(
+            [len(sim.frame_events(k)[0]) for k in range(n_frames)], minlength=3
         )
-        # force exactly one pair per frame by sampling events directly
-        rng = np.random.default_rng(10)
-        both = sum(
-            apply_detection(np.ones((1, 2)), 0.5, rng).size == 2 for _ in range(4000)
-        )
-        assert both == pytest.approx(1000, abs=4 * np.sqrt(4000 * 0.25 * 0.75))
+        q = 1.0 - eta
+        p0 = np.exp(m * (q * q - 1.0))
+        p1 = p0 * 2 * m * eta * q
+        p2 = p0 * (m * eta**2 + (2 * m * eta * q) ** 2 / 2)
+        for k, p in enumerate((p0, p1, p2)):
+            sigma = np.sqrt(n_frames * p * (1 - p))
+            assert counts[k] == pytest.approx(n_frames * p, abs=4 * sigma)

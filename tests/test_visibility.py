@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from twophoton.errors import InvalidParameterError, UnderDeterminedFitError
 from twophoton.optics import SpatialGrid
 from twophoton.patterns import (
+    FringePattern1D,
+    JointPattern2D,
     coincidence_pattern,
     excess_closed_form,
     marginal_pattern,
@@ -165,3 +167,119 @@ def test_fit_roundtrip_along_the_circle(psi):
     marg = single_photon_pattern(v.v1m, PERIOD, fringe_grid())
     mfit = fit_fringe_visibility(marg, PERIOD)
     assert mfit.visibility**2 + jfit.v12**2 == pytest.approx(1.0, abs=1e-7)
+
+
+def lstsq_fringe(pattern, period):
+    """The fringe fit's coefficients and residual from a dense design."""
+    t = 2 * np.pi * pattern.grid.positions / period
+    design = np.column_stack([np.ones_like(t), np.cos(t), np.sin(t)])
+    y = pattern.values
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    return coef, np.linalg.norm(design @ coef - y) / np.linalg.norm(y)
+
+
+def lstsq_joint(excess, period, mask=None, weights=None):
+    """The joint fit's coefficients and residual from a dense n^2-by-5 design."""
+    t = 2 * np.pi * excess.grid.positions / period
+    s2, d2 = np.add.outer(t, t), np.subtract.outer(t, t)
+    y = excess.values
+    sel = np.ones(y.shape, dtype=bool) if mask is None else mask
+    cols = [np.ones(y.shape), np.cos(s2), np.sin(s2), np.cos(d2), np.sin(d2)]
+    design = np.column_stack([c[sel] for c in cols])
+    sw = np.ones(design.shape[0]) if weights is None else np.sqrt(weights[sel])
+    coef = np.linalg.lstsq(design * sw[:, None], y[sel] * sw, rcond=None)[0]
+    return coef, np.linalg.norm(design @ coef - y[sel]) / np.linalg.norm(y[sel])
+
+
+def assert_close(got, want, scale, rel=1e-10):
+    assert abs(got - want) <= rel * abs(scale), (got, want)
+
+
+# (grid, fringe periods it spans): the camera's pixel grid (2.42 pixels per
+# period), an odd grid off center, and a fine even grid
+ORACLE_GRIDS = {
+    "pixels": SpatialGrid(-255.5 * 24e-6, 255.5 * 24e-6, 512),
+    "odd": SpatialGrid(-3.3 * PERIOD, 4.1 * PERIOD, 151),
+    "fine": fringe_grid(periods=5, n=200),
+}
+
+
+class TestLstsqOracle:
+    """The projection fits equal a dense least-squares solve to rounding."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fringe_fit(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        t = 2 * np.pi * grid.positions / PERIOD
+        y = 2.0 + 0.7 * np.cos(t + rng.uniform(-3, 3)) + rng.normal(0, 0.3, grid.n)
+        fit = fit_fringe_visibility(FringePattern1D(grid, y, PERIOD), PERIOD)
+        (c0, c1, c2), resid = lstsq_fringe(FringePattern1D(grid, y, PERIOD), PERIOD)
+        assert_close(fit.offset, c0, c0)
+        assert_close(fit.visibility, np.hypot(c1, c2) / c0, 1.0)
+        assert_close(fit.phase, np.arctan2(-c2, c1), np.pi)
+        assert_close(fit.residual, resid, resid)
+
+    @pytest.mark.filterwarnings("ignore::twophoton.errors.AliasingWarning")
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+    @pytest.mark.parametrize(
+        "selection", ["none", "mask", "weights", "both", "band_acceptance"]
+    )
+    def test_joint_fit(self, grid, selection):
+        rng = np.random.default_rng(len(selection) + grid.n)
+        clean = excess_closed_form(0.4, PERIOD, grid).values
+        y = clean + rng.normal(0, np.abs(clean).max(), clean.shape)
+        idx = np.arange(grid.n)
+        dc = np.abs(np.subtract.outer(idx, idx))
+        mask = weights = None
+        if selection in ("mask", "both"):
+            mask = rng.random(y.shape) < 0.6
+        if selection in ("weights", "both"):
+            weights = rng.uniform(0.05, 2.0, y.shape)
+        if selection == "band_acceptance":
+            # the analysis' own selection: no near-diagonal band, weights
+            # falling with the horizontal separation
+            mask, weights = dc > 3, 1.0 / (1.0 + dc)
+        excess = JointPattern2D(grid, y, "excess", period=PERIOD)
+        fit = fit_joint_visibility(excess, PERIOD, mask=mask, weights=weights)
+        coef, resid = lstsq_joint(excess, PERIOD, mask, weights)
+        scale = np.abs(coef).max()
+        assert_close(fit.offset, coef[0], scale)
+        assert_close(fit.amp_sum, coef[1], scale)
+        assert_close(fit.amp_diff, coef[3], scale)
+        assert_close(fit.residual, resid, resid)
+        b, c = coef[1], coef[3]
+        assert_close(fit.v12, min(max((b + c) / (b - c), 0.0), 1.0), 1.0)
+
+    def test_masked_cells_are_never_read(self):
+        grid = ORACLE_GRIDS["odd"]
+        excess = excess_closed_form(0.4, PERIOD, grid)
+        idx = np.arange(grid.n)
+        band = np.abs(np.subtract.outer(idx, idx)) <= 3
+        dirty = excess.values.copy()
+        dirty[band] = np.nan
+        weights = np.where(band, np.inf, 1.0)
+        fit = fit_joint_visibility(
+            JointPattern2D(grid, dirty, "excess", period=PERIOD), PERIOD, ~band, weights
+        )
+        clean = fit_joint_visibility(excess, PERIOD, ~band)
+        assert fit == clean
+
+
+class TestUnderDetermined:
+    def test_antidiagonal_mask(self):
+        # t' + t'' is constant on an anti-diagonal: 1, cos 2S and sin 2S
+        # cannot be told apart there
+        grid = fringe_grid(periods=8, n=320)
+        excess = excess_closed_form(0.5, PERIOD, grid)
+        idx = np.arange(grid.n)
+        anti = np.add.outer(idx, idx) == grid.n - 1
+        with pytest.raises(UnderDeterminedFitError):
+            fit_joint_visibility(excess, PERIOD, mask=anti)
+
+    def test_fringe_sampled_at_half_periods(self):
+        # two samples per period, on the fringe's zero crossings of sin
+        grid = SpatialGrid(0.0, 10 * PERIOD, 21)
+        y = 1.0 + 0.5 * np.cos(2 * np.pi * grid.positions / PERIOD)
+        with pytest.raises(UnderDeterminedFitError):
+            fit_fringe_visibility(FringePattern1D(grid, y, PERIOD), PERIOD)
