@@ -10,7 +10,11 @@ the geometry of the vertical-separation filter and interpolating the
 resolution-limited near-diagonal band.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
-only; ``process_frame`` is the per-frame reference it must equal.
+only, and labels just the lit (above-threshold) pixels of a block: they are
+joined to their lit 8-neighbours found by ``searchsorted`` in the sorted
+flat indices, and each connected component of that sparse graph is a patch.
+``process_frame``, which labels each dense frame with ``ndimage.label``, is
+the per-frame reference it must equal.
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, stats
+from scipy import ndimage, sparse, stats
+from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
 from .patterns import FringePattern1D, JointPattern2D, marginal_pattern
 from .sensor import FULL_SCALE, CameraModel, PhotonEvent
 
 _CONN8 = np.ones((3, 3), dtype=int)
-# 8-connected inside each frame of a block, never across frames
-_CONN8_BLOCK = np.zeros((3, 3, 3), dtype=int)
-_CONN8_BLOCK[1] = 1
 # frames drawn, rendered and labelled together; results do not depend on it
 _BLOCK = 64
 
@@ -66,6 +68,9 @@ def detect_photons(
     Each 8-connected component of at least ``min_patch`` pixels yields one
     event at its analog maximum; ties resolve to the smallest (row, col).
     Smaller components (e.g. single-pixel dark counts) are rejected.
+
+    Labels the dense frame with ``ndimage.label``: this is the independent
+    reference that the sparse labelling of ``_block_events`` must equal.
     """
     if binary.shape != analog.shape:
         raise InvalidParameterError("binary and analog matrices must have equal shape")
@@ -517,22 +522,45 @@ def _block_events(
     ``detect_photons`` frame by frame: each 8-connected patch of at least
     ``min_patch`` pixels, located at its analog maximum with ties to the
     smallest (row, col).
+
+    Only the lit (above-threshold) pixels are labelled.  Each is joined to
+    its lit forward neighbours (0, +1), (+1, -1), (+1, 0) and (+1, +1),
+    found by ``searchsorted`` in the sorted flat indices; the column and row
+    masks keep an edge from wrapping across a row end or into the next
+    frame.  The patches are the connected components of that graph.
     """
     cam = cfg.camera
-    binary = frames > cam.threshold_analog
-    labels, n = ndimage.label(binary, structure=_CONN8_BLOCK)
-    if n == 0:
+    _, h, w = frames.shape
+    pix = np.flatnonzero(frames > cam.threshold_analog)
+    if pix.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    pix = np.flatnonzero(binary)
-    lab = labels.ravel()[pix]
+    row, col = np.divmod(pix % (h * w), w)
+    not_last_row = row < h - 1
+    forward = (
+        (1, col < w - 1),
+        (w - 1, not_last_row & (col > 0)),
+        (w, not_last_row),
+        (w + 1, not_last_row & (col < w - 1)),
+    )
+    src, dst = [], []
+    for off, ok in forward:
+        tail = np.flatnonzero(ok)
+        target = pix[tail] + off
+        nbr = np.searchsorted(pix, target)
+        hit = pix.take(nbr, mode="clip") == target
+        src.append(tail[hit])
+        dst.append(nbr[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = sparse.csr_array((np.ones(src.size), (src, dst)), shape=(pix.size, pix.size))
+    _, lab = csgraph.connected_components(graph, directed=False)
     order = np.lexsort((pix, -frames.ravel()[pix].astype(np.int32), lab))
     lab = lab[order]
     head = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
     sizes = np.diff(np.r_[head, lab.size])
     peaks = np.sort(pix[order[head[sizes >= cfg.min_patch]]])
-    f, rest = np.divmod(peaks, labels[0].size)
-    row, col = np.divmod(rest, frames.shape[2])
+    f, rest = np.divmod(peaks, h * w)
+    row, col = np.divmod(rest, w)
     row += v0
     inside = (row >= cam.strip_rows[0]) & (row <= cam.strip_rows[1])
     return f[inside], row[inside], col[inside]

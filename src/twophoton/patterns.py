@@ -212,21 +212,24 @@ def marginal_pattern(g2: JointPattern2D) -> FringePattern1D:
     return FringePattern1D(g2.grid, m, g2.period)
 
 
-def _roi_mask(grid: SpatialGrid, period: float | None) -> np.ndarray:
+def _roi_slice(grid: SpatialGrid, period: float | None) -> slice:
     """Symmetric region holding an integer number of fringe periods.
 
-    Falls back to the full grid when no period is known or the grid spans
-    less than one period.
+    The grid's positions are sorted, so the region is a contiguous slice of
+    them.  Falls back to the full grid when no period is known, the grid
+    spans less than one period, or no grid point lies inside the region.
     """
     if period is None:
-        return np.ones(grid.n, dtype=bool)
+        return slice(None)
     n_per = int(np.floor(grid.extent / period))
     if n_per < 1:
-        return np.ones(grid.n, dtype=bool)
+        return slice(None)
     half = n_per * period / 2
     center = (grid.x_min + grid.x_max) / 2
-    x = grid.positions
-    return np.abs(x - center) <= half + 1e-9 * grid.spacing
+    inside = np.flatnonzero(np.abs(grid.positions - center) <= half + 1e-9 * grid.spacing)
+    if inside.size == 0:
+        return slice(None)
+    return slice(inside[0], inside[-1] + 1)
 
 
 def excess_pattern(
@@ -238,18 +241,21 @@ def excess_pattern(
 
     A is chosen so the result unit-sums over the region of interest: the
     central region trimmed to an integer number of fringe periods (the full
-    grid when no period is known).
+    grid when no period is known).  The region is a square block of cells,
+    so the marginal product's sum over it is the square of a 1-D sum.
     """
     if marginal.grid != g2.grid:
         raise CompositionError("marginal grid differs from the joint-pattern grid")
     period = period if period is not None else g2.period
-    raw = g2.values - np.outer(marginal.values, marginal.values)
-    roi = _roi_mask(g2.grid, period)
-    mask2 = np.outer(roi, roi)
+    m = marginal.values
+    roi = _roi_slice(g2.grid, period)
     cell = g2.cell_area()
-    n_roi = int(mask2.sum())
-    a = (1.0 - raw[mask2].sum() * cell) / (n_roi * cell)
-    return JointPattern2D(g2.grid, raw + a, "excess", period=period)
+    n_roi = len(m[roi])
+    a = (1.0 - (g2.values[roi, roi].sum() - m[roi].sum() ** 2) * cell) / (n_roi**2 * cell)
+    v = -m[:, None] * m
+    v += g2.values
+    v += a
+    return JointPattern2D(g2.grid, v, "excess", period=period)
 
 
 def excess_closed_form(
@@ -280,9 +286,9 @@ def excess_closed_form(
     else:
         raise InvalidParameterError(f"unknown form {form!r}")
     if offset is None:
-        roi = _roi_mask(grid, period)
-        mask2 = np.outer(roi, roi)
+        roi = _roi_slice(grid, period)
         cell = grid.spacing ** 2
-        offset = (1.0 - v[mask2].sum() * cell) / (int(mask2.sum()) * cell)
+        block = v[roi, roi]
+        offset = (1.0 - block.sum() * cell) / (block.size * cell)
     return JointPattern2D(grid, v + offset, "excess", period=period)
 

@@ -5,13 +5,20 @@ import json
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
 import twophoton as tp
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
 from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv, write_frames
-from twophoton.framepipe import AnalysisConfig, analyze_source
+from twophoton.framepipe import (
+    AnalysisConfig,
+    CoincidenceAccumulator,
+    _reduce_range,
+    analyze_source,
+    process_frame,
+)
 from twophoton.optics import SpatialGrid
 from twophoton.patterns import FringePattern1D, JointPattern2D
 from twophoton.visibility import fit_fringe_visibility, fit_joint_visibility
@@ -164,6 +171,29 @@ class TestAnalyze:
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
         assert 0.0 < closure.recovered.v1m <= 1.0
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--frames", "1500", "--seed", "11", "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 0
+        assert json.loads((out / "analysis.json").read_text())["pairs_accepted"] > 0
+
+    def test_frames_are_reduced_without_dense_labelling(self, tmp_path, monkeypatch):
+        camera = tp.CameraModel()
+        grid = camera.pixel_grid()
+        pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
+        sim = tp.FrameSimulator(pdf, camera, 200, 3.0, 12)
+        cfg = AnalysisConfig(camera=camera)
+        want = CoincidenceAccumulator(camera.width)
+        for frame in sim.iter_frames():
+            process_frame(frame, cfg, want)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.ndimage.label called")
+
+        monkeypatch.setattr(scipy.ndimage, "label", refuse)
+        got = _reduce_range(sim, cfg, 0, 200)
+        assert got.frames_pair > 0
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.class_counts() == want.class_counts()
         run, out = tmp_path / "run", tmp_path / "analysis"
         assert main(["simulate", "--frames", "1500", "--seed", "11", "--out", str(run)]) == 0
         assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 0

@@ -29,8 +29,10 @@ from twophoton.framepipe import (
     superpixel_bin,
     threshold_frame,
     vertical_acceptance,
+    _block_events,
     _interpolate_missing,
     _reduce_range,
+    _strip_window,
 )
 from twophoton.sensor import (
     FULL_SCALE,
@@ -576,6 +578,66 @@ class FrameList:
 
 SMALL_CAM = CameraModel(width=16, height=12, strip_rows=(3, 7))
 T = SMALL_CAM.threshold_analog
+# the strip covers the whole frame, so every patch's event is kept
+OPEN_CAM = CameraModel(width=16, height=12, strip_rows=(0, 11))
+
+
+def lit(cam, n_frames, pixels, level=T + 100):
+    """Frames of ``cam`` lit at the (frame, row, col) triples of ``pixels``."""
+    frames = np.zeros((n_frames, cam.height, cam.width), np.uint16)
+    for f, r, c in pixels:
+        frames[f, r, c] = level
+    return frames
+
+
+def chain_over_frame_boundary():
+    # frame 0 lights rows 5..9 of column 5, the last row of the window, and
+    # frame 1 rows 1..4, its first: adjacent in the block, two patches
+    frames = lit(SMALL_CAM, 2, [(0, r, 5) for r in range(5, 10)] + [(1, r, 5) for r in range(1, 5)])
+    frames[0, 5, 5] = frames[1, 4, 5] = T + 200
+    return frames
+
+
+def first_maxima():
+    frames = np.full((3, 12, 16), T + 50, np.uint16)
+    frames[0, 7, 3] = frames[0, 9, 1] = frames[1, 2, 15] = frames[1, 2, 14] = T + 100
+    return frames
+
+
+# (frames, camera, min_patch, expected (frame, row, col) events)
+EDGE_CASES = {
+    "row end and next row start stay apart": (
+        lit(SMALL_CAM, 1, [(0, 4, 15), (0, 5, 0)]), SMALL_CAM, 1, [(0, 4, 15), (0, 5, 0)],
+    ),
+    "row start and the same row's end stay apart": (
+        lit(SMALL_CAM, 1, [(0, 4, 0), (0, 4, 15)]), SMALL_CAM, 1, [(0, 4, 0), (0, 4, 15)],
+    ),
+    "last window row and next frame's first stay apart": (
+        chain_over_frame_boundary(), SMALL_CAM, 1, [(0, 5, 5), (1, 4, 5)],
+    ),
+    "chain of (+1, -1) diagonals is one patch": (
+        lit(SMALL_CAM, 1, [(0, 3 + k, 8 - k) for k in range(5)]), SMALL_CAM, 5, [(0, 3, 8)],
+    ),
+    "fully lit block gives one event per frame at the first maximum": (
+        first_maxima(), OPEN_CAM, 4, [(0, 7, 3), (1, 2, 14), (2, 0, 0)],
+    ),
+    "pixels at the threshold are not lit": (
+        np.full((4, 12, 16), T, np.uint16), OPEN_CAM, 1, [],
+    ),
+}
+
+
+def reference_events(frames, cfg):
+    """In-strip (frame, row, col) events of ``detect_photons`` frame by frame."""
+    cam = cfg.camera
+    v0, v1 = _strip_window(cam)
+    out = []
+    for k, frame in enumerate(frames):
+        view = frame[v0:v1]
+        for e in detect_photons(threshold_frame(view, cam.threshold_analog), view, cfg.min_patch):
+            if cam.strip_rows[0] <= e.row + v0 <= cam.strip_rows[1]:
+                out.append((k, e.row + v0, e.col))
+    return sorted(out)
 
 
 class TestBlockReduction:
@@ -594,6 +656,16 @@ class TestBlockReduction:
         got = _reduce_range(sim, cfg, 37, 101, 16)
         assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, cfg, 512))
 
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_labelling_edge_cases(self, case):
+        frames, cam, min_patch, want = EDGE_CASES[case]
+        cfg = AnalysisConfig(camera=cam, min_patch=min_patch)
+        v0, v1 = _strip_window(cam)
+        got = list(zip(*(a.tolist() for a in _block_events(frames[:, v0:v1], v0, cfg))))
+        assert got == reference_events(frames, cfg) == want
+        block = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), len(frames))
+        assert accumulator_key(block) == accumulator_key(per_frame_reference(frames, cfg, cam.width))
+
     def test_blank_blocks_count_as_empty(self):
         sim = uniform_sim(CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
         cfg = AnalysisConfig(camera=sim.camera)
@@ -602,22 +674,29 @@ class TestBlockReduction:
         assert acc.matrix.sum() == acc.singles.sum() == 0
 
     # few levels around the threshold make tied peaks, merged patches, dark
-    # single pixels and components at the min_patch boundary common
+    # single pixels and components at the min_patch boundary common; at width
+    # 2 a step right and a step down-left are the same flat step, and only
+    # the column masks keep them apart
     @given(
-        frames=arrays(
-            np.uint16,
-            st.tuples(st.integers(1, 12), st.just(12), st.just(16)),
-            elements=st.sampled_from([0, 0, 0, 0, 0, 0, T, T + 1, T + 50, T + 100]),
+        strips=st.sampled_from([2, 3, 16]).flatmap(
+            lambda width: arrays(
+                np.uint16,
+                st.tuples(st.integers(1, 12), st.just(12), st.just(width)),
+                elements=st.sampled_from([0, 0, 0, 0, 0, 0, T, T + 1, T + 50, T + 100]),
+                fill=st.nothing(),
+            )
         ),
         min_patch=st.integers(1, 6),
         ratio=st.sampled_from([1.0 / 3.0, 0.5, 1.0, 4.0]),
         block=st.integers(1, 13),
     )
     @settings(max_examples=300, deadline=None)
-    def test_random_strips_match_process_frame(self, frames, min_patch, ratio, block):
+    def test_random_strips_match_process_frame(self, strips, min_patch, ratio, block):
         # the window is rows 1..9 of 12: patches cross both the strip edge
         # (rows 3 and 7) and the window edge
-        cfg = AnalysisConfig(camera=SMALL_CAM, min_patch=min_patch, ratio=ratio)
-        got = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), block)
-        want = per_frame_reference(frames, cfg, 16)
+        width = strips.shape[2]
+        cam = dataclasses.replace(SMALL_CAM, width=width)
+        cfg = AnalysisConfig(camera=cam, min_patch=min_patch, ratio=ratio)
+        got = _reduce_range(FrameList(list(strips)), cfg, 0, len(strips), block)
+        want = per_frame_reference(strips, cfg, width)
         assert accumulator_key(got) == accumulator_key(want)

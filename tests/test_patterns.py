@@ -171,6 +171,25 @@ class TestMarginalAndExcess:
         assert scale > 0
         assert np.abs(gv - scale * wv).max() < 2e-3 * np.abs(gv).max()
 
+    @pytest.mark.filterwarnings("ignore::twophoton.errors.AliasingWarning")
+    @pytest.mark.parametrize("psi", [0.3, 0.6, 0.792])
+    def test_excess_matches_cell_mask_sum(self, psi):
+        # the camera's pixel grid, and the ROI sum taken over a boolean cell
+        # mask of the full matrix instead of a slice and a 1-D marginal sum
+        grid = tp.CameraModel().pixel_grid()
+        g2 = coincidence_pattern(psi, PERIOD, grid)
+        m = marginal_pattern(g2).values
+        raw = g2.values - np.outer(m, m)
+        x = grid.positions
+        half = int(np.floor(grid.extent / PERIOD)) * PERIOD / 2
+        roi = np.abs(x - (grid.x_min + grid.x_max) / 2) <= half + 1e-9 * grid.spacing
+        assert 0 < roi.sum() < grid.n
+        mask2 = np.outer(roi, roi)
+        cell = g2.cell_area()
+        want = raw + (1.0 - raw[mask2].sum() * cell) / (int(mask2.sum()) * cell)
+        got = excess_pattern(g2, marginal_pattern(g2), PERIOD).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_excess_grid_mismatch(self):
         g2 = coincidence_pattern(0.5, PERIOD, fine_grid())
         m = marginal_pattern(coincidence_pattern(0.5, PERIOD, fine_grid(n=385)))
