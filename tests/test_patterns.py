@@ -9,6 +9,7 @@ from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import AliasingWarning, CompositionError, InvalidParameterError
 from twophoton.optics import SlitPair, SpatialGrid, fourier_2f_kernel
 from twophoton.patterns import (
+    JointPattern2D,
     coincidence_general,
     coincidence_pattern,
     excess_closed_form,
@@ -189,6 +190,14 @@ class TestMarginalAndExcess:
         want = raw + (1.0 - raw[mask2].sum() * cell) / (int(mask2.sum()) * cell)
         got = excess_pattern(g2, marginal_pattern(g2), PERIOD).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_excess_roi_without_grid_points_is_the_full_grid(self):
+        # one period of 0.9 centred between points 0 and 1 holds neither
+        grid = SpatialGrid(0.0, 1.0, 2)
+        g2 = JointPattern2D(grid, np.array([[0.3, 0.2], [0.2, 0.3]]), "coincidence")
+        got = excess_pattern(g2, marginal_pattern(g2), 0.9)
+        assert np.all(np.isfinite(got.values))
+        assert got.values.sum() * g2.cell_area() == pytest.approx(1.0)
 
     def test_excess_grid_mismatch(self):
         g2 = coincidence_pattern(0.5, PERIOD, fine_grid())
