@@ -13,14 +13,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .biphoton import ApertureCorrelations, PumpProfile, real_psi
-from .errors import AliasingWarning, InvalidParameterError, TwoPhotonError
+from .errors import AliasingWarning, EmptyEstimateError, InvalidParameterError, TwoPhotonError
 from .framepipe import (
     AnalysisConfig,
     AnalysisResult,
+    _acceptance_scale,
     accidental_fraction,
     analyze_source,
     estimate_pair_rate,
-    vertical_acceptance,
 )
 from .optics import (
     LinearKernel,
@@ -31,7 +31,6 @@ from .optics import (
     slit_averaged_rows,
 )
 from .patterns import (
-    FringePattern1D,
     JointPattern2D,
     coincidence_pattern,
     excess_pattern,
@@ -40,10 +39,8 @@ from .patterns import (
 )
 from .sensor import CameraModel, FrameSimulator
 from .visibility import (
-    FringeFit,
     JointFit,
     VisibilitySet,
-    fit_fringe_visibility,
     fit_joint_visibility,
     visibilities_from_psi,
 )
@@ -178,23 +175,23 @@ def build_simulator(config: ExperimentConfig, psi: float | None = None) -> Frame
 
 @dataclass(frozen=True)
 class RecoveredVisibilities:
-    """Visibilities fitted to a reduced frame stream.
+    """Visibilities from one fit of the observed G2 cells of a frame stream.
 
+    ``joint_fit`` is that fit, of the acceptance-corrected pair counts.
+    ``v1m`` is its one-photon fringe amplitude over its offset, |c1| / c0.
     ``v12`` is the accidental-corrected difference-amplitude estimate
-    V = (B - C) / (1 - eps); ``v12_ratio`` is the scale-free ratio estimate
-    (B + C) / (B - C), which needs no accidental model but carries roughly
-    twice the statistical noise.  ``accidentals`` is the estimated fraction
-    of accepted pairs that photons from different down-conversion events
-    contributed.
+    (c_S - c_D) / (c0 (1 - eps)); ``v12_ratio`` is the fit's scale-free
+    ratio estimate, which needs no accidental model but carries roughly
+    twice the statistical noise.  ``accidentals`` is eps, the estimated
+    fraction of accepted pairs that photons from different down-conversion
+    events contributed.
     """
 
     v1m: float
     v12: float
     v12_ratio: float
     accidentals: float
-    marginal_fit: FringeFit
     joint_fit: JointFit
-    excess: JointPattern2D
 
 
 def recover_visibilities(
@@ -202,37 +199,32 @@ def recover_visibilities(
     period: float,
     quantum_efficiency: float = 0.5,
 ) -> RecoveredVisibilities:
-    """Fit the marginal and excess fringes of a finalized G2 estimate.
+    """Fit the visibilities to the acceptance-corrected pair counts.
 
-    The near-diagonal band the pipeline cannot resolve is excluded from the
-    joint fit, and cells are weighted by the vertical-filter acceptance (the
-    acceptance correction amplifies noise where the filter passed little).
-    Accidental cross pairs dilute the excess fringe amplitudes by a factor
-    estimated from the empty-frame fraction; the primary V12 divides that
-    dilution out of the fitted difference amplitude, whose unit is fixed by
-    the known normalization of the estimate.
+    Only the observed cells enter the fit: the near-diagonal band the
+    pipeline cannot resolve is left out, and cells are weighted by the
+    vertical-filter acceptance, the inverse variance of a corrected count
+    up to the slowly varying G2 itself.  Accidental cross pairs add the
+    product of the marginals to the counts; it carries no difference
+    fringe, so the difference amplitude holds the pairs' V12 diluted by
+    1 - eps, with eps estimated from the empty-frame fraction.
     """
-    mfit = fit_fringe_visibility(result.marginal, period)
-    excess = excess_pattern(result.estimate, result.marginal, period)
-    cfg = result.config
-    idx = np.arange(result.accumulator.width)
-    acc = vertical_acceptance(idx, cfg.camera.strip_height, cfg.ratio)
-    weights = acc[np.abs(idx[:, None] - idx[None, :])]
-    jfit = fit_joint_visibility(excess, period, mask=~result.missing, weights=weights)
+    acc, cfg = result.accumulator, result.config
+    if acc.pairs_accepted == 0:
+        raise EmptyEstimateError("no accepted coincidence pairs to fit")
+    scale, missing = _acceptance_scale(acc, cfg)
+    observed = ~missing
+    counts = JointPattern2D(cfg.camera.pixel_grid(), acc.matrix * scale, "coincidence")
+    weights = np.divide(1.0, scale, out=np.zeros_like(scale), where=observed)
+    jfit = fit_joint_visibility(counts, period, mask=observed, weights=weights)
     try:
-        rate = estimate_pair_rate(result.accumulator, quantum_efficiency)
+        rate = estimate_pair_rate(acc, quantum_efficiency)
         eps = accidental_fraction(rate, quantum_efficiency)
     except TwoPhotonError:
         eps = 0.0
-    # amplitudes were fitted on the unit-sum density; rescale to the
-    # unit-mean normalization the closed forms use
-    grid = excess.grid
-    unit = (grid.n * grid.spacing) ** 2
-    v12 = (jfit.amp_sum - jfit.amp_diff) * unit / (1.0 - eps)
+    v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
     v12 = float(min(max(v12, 0.0), 1.0))
-    return RecoveredVisibilities(
-        mfit.visibility, v12, jfit.v12, eps, mfit, jfit, excess
-    )
+    return RecoveredVisibilities(jfit.amp_single / jfit.offset, v12, jfit.v12, eps, jfit)
 
 
 @dataclass(frozen=True)

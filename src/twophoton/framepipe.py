@@ -4,10 +4,12 @@ Each frame is thresholded, 8-connected above-threshold patches become photon
 events located at their analog maximum, events outside the readout strip are
 dropped, and frames with exactly two remaining events whose vertical
 separation is less than one third of their horizontal separation contribute
-an outer-product increment to the coincidence accumulator.  Finalization
-turns the accumulated counts into a normalized joint pattern, correcting for
-the geometry of the vertical-separation filter and interpolating the
-resolution-limited near-diagonal band.
+an outer-product increment to the coincidence accumulator.
+``corrected_counts`` divides the geometry of the vertical-separation filter
+out of the accumulated counts and masks the resolution-limited near-diagonal
+band; the visibility fits read those observed cells alone.  ``finalize``
+turns them into a normalized joint pattern for display and export, with the
+band interpolated.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
 only, and labels just the lit (above-threshold) pixels of a block: they are
@@ -26,7 +28,7 @@ from scipy import ndimage, sparse, stats
 from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
-from .patterns import FringePattern1D, JointPattern2D, marginal_pattern
+from .patterns import JointPattern2D
 from .sensor import FULL_SCALE, CameraModel, PhotonEvent
 
 _CONN8 = np.ones((3, 3), dtype=int)
@@ -265,7 +267,7 @@ def vertical_acceptance(
     Rows are independent and uniform over the strip, so acceptance is the
     exact count of integer row pairs with |delta row| < ratio * |delta col|
     over strip_height^2.  This is the geometric bias the filter imposes as a
-    function of horizontal separation; finalize divides it out.
+    function of horizontal separation; ``corrected_counts`` divides it out.
     """
     if strip_height < 1:
         raise InvalidParameterError("strip height must be >= 1")
@@ -277,17 +279,6 @@ def vertical_acceptance(
     ordered = np.where(m < 0, 0.0, h + 2 * (m * h - m * (m + 1) / 2.0))
     out = ordered / h**2
     return float(out) if np.isscalar(delta_col) else out
-
-
-def missing_band_mask(width: int, patch_size: int) -> np.ndarray:
-    """Cells the pipeline cannot estimate: |col' - col''| <= patch size.
-
-    Two photons this close merge into a single detected patch (or are cut
-    by the vertical filter), so the band — including the diagonal — holds
-    no usable counts and is interpolated in the finalized estimate.
-    """
-    idx = np.arange(width)
-    return np.abs(idx[:, None] - idx[None, :]) <= patch_size
 
 
 def _interpolate_missing(values: np.ndarray, missing: np.ndarray, window: int = 7) -> np.ndarray:
@@ -325,8 +316,9 @@ def _acceptance_scale(
     acc: CoincidenceAccumulator, cfg: AnalysisConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell acceptance correction factor (0 on missing cells), and the
-    missing mask: the band of ``missing_band_mask`` plus every separation the
-    vertical filter never accepts.
+    missing mask: the near-diagonal band |col' - col''| <= patch size, where
+    two photons merge into one patch, plus every separation the vertical
+    filter never accepts.
 
     Both depend only on |delta col|, so each is built as a profile over the
     separations and indexed once per cell.
@@ -358,19 +350,18 @@ def corrected_counts(
     return raw * scale, raw * scale**2, missing
 
 
-def finalize(
-    acc: CoincidenceAccumulator, cfg: AnalysisConfig
-) -> tuple[JointPattern2D, np.ndarray]:
-    """Normalized G2 estimate from the accumulated counts, and the mask of
-    the cells it interpolated.
+def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D:
+    """Normalized G2 estimate from the accumulated counts, for display and
+    export.
 
     Divides the acceptance-corrected counts (``corrected_counts``) by the
     total frame count, fills each missing cell (the near-diagonal band and
     any separation the vertical filter never accepts) with the mean of the
     valid cells within 3 pixels of it, symmetrizes, and normalizes to unit
     sum over the pixel-center position grid.  A 7-pixel window mean holds
-    no fringe whose period is a few pixels, so the filled cells enter the
-    marginal but the joint fit of ``recover_visibilities`` leaves them out.
+    no fringe whose period is a few pixels, so the filled cells are for
+    display only: ``recover_visibilities`` fits the observed cells of
+    ``corrected_counts`` and never reads this estimate.
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
@@ -383,7 +374,7 @@ def finalize(
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
-    return JointPattern2D(grid, est / total, "coincidence"), missing
+    return JointPattern2D(grid, est / total, "coincidence")
 
 
 def superpixel_bin(matrix: np.ndarray, factor: int = 4) -> np.ndarray:
@@ -504,12 +495,10 @@ def accidental_fraction(mean_pairs: float, quantum_efficiency: float) -> float:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Everything the reduction of a frame stream produces."""
+    """The reduction of a frame stream: its accumulator and the analysis
+    configuration that produced it."""
 
     accumulator: CoincidenceAccumulator
-    estimate: JointPattern2D
-    marginal: FringePattern1D
-    missing: np.ndarray
     config: AnalysisConfig
 
 
@@ -627,5 +616,4 @@ def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) 
     total = _reduce_range(source, cfg, bounds[0], bounds[1])
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         total.merge(_reduce_range(source, cfg, lo, hi))
-    estimate, missing = finalize(total, cfg)
-    return AnalysisResult(total, estimate, marginal_pattern(estimate), missing, cfg)
+    return AnalysisResult(total, cfg)

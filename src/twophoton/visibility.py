@@ -51,13 +51,15 @@ class FringeFit:
 # Column i of ``g`` is g_i = [1, cos t_i, sin t_i] at sample i's fringe phase.
 # Every basis function of a joint fit is the bilinear form g_i^T A g_j of one
 # 3x3 matrix A: in the half sum and difference phases S and D these are 1,
-# cos 2S, sin 2S, cos 2D and sin 2D.
-_JOINT_BASIS = np.zeros((5, 3, 3))
+# cos 2S, sin 2S, cos 2D, sin 2D, cos t' + cos t'' and sin t' + sin t''.
+_JOINT_BASIS = np.zeros((7, 3, 3))
 _JOINT_BASIS[0, 0, 0] = 1.0
 _JOINT_BASIS[1, 1, 1], _JOINT_BASIS[1, 2, 2] = 1.0, -1.0
 _JOINT_BASIS[2, 2, 1], _JOINT_BASIS[2, 1, 2] = 1.0, 1.0
 _JOINT_BASIS[3, 1, 1], _JOINT_BASIS[3, 2, 2] = 1.0, 1.0
 _JOINT_BASIS[4, 2, 1], _JOINT_BASIS[4, 1, 2] = 1.0, -1.0
+_JOINT_BASIS[5, 0, 1], _JOINT_BASIS[5, 1, 0] = 1.0, 1.0
+_JOINT_BASIS[6, 0, 2], _JOINT_BASIS[6, 2, 0] = 1.0, 1.0
 
 # Largest condition number of a normal matrix that is solved.  Every basis
 # function has unit amplitude, so the plain condition number measures how
@@ -119,11 +121,17 @@ def fit_fringe_visibility(pattern: FringePattern1D, period: float) -> FringeFit:
 
 @dataclass(frozen=True)
 class JointFit:
-    """Two-dimensional excess-pattern fit A + B cos(2S) + C cos(2D).
+    """Two-dimensional fit c0 + c_S cos 2S + c_D cos 2D + c1 (cos t' + cos t''),
+    plus the sine partners of the last three terms.
 
-    B and C are the signed sum- and difference-coordinate fringe amplitudes;
-    v12 solves B = V(1+V)/2, C = -V(1-V)/2 through the scale-free ratio
-    V = (B + C) / (B - C), clamped to [0, 1].  ``residual`` is the
+    ``offset`` is c0, ``amp_sum`` and ``amp_diff`` are the signed sum- and
+    difference-coordinate fringe amplitudes c_S and c_D, and ``amp_single``
+    is the one-photon fringe amplitude |c1| of cos and sin in quadrature.
+    ``v12`` is the scale-free ratio (B + C) / (B - C), clamped to [0, 1],
+    of B = c_S - |c1|^2 / (2 c0) and C = c_D - |c1|^2 / (2 c0).  On a G2
+    that mixes a pair density with the product of its marginals, in any
+    proportion, it is the pair density's V12; on an excess pattern c1 is
+    about 0, and it solves B = V(1+V)/2, C = -V(1-V)/2.  ``residual`` is the
     unweighted |model - y| / |y| over the selected cells, whatever the
     fit's weights.
     """
@@ -131,35 +139,37 @@ class JointFit:
     v12: float
     amp_sum: float
     amp_diff: float
+    amp_single: float
     offset: float
     residual: float
 
 
 def fit_joint_visibility(
-    excess: JointPattern2D,
+    pattern: JointPattern2D,
     period: float,
     mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> JointFit:
-    """Least-squares fit of the excess pattern at a known fringe period.
+    """Least-squares fit of a G2 or excess pattern at a known fringe period.
 
-    Basis: {1, cos 2S, sin 2S, cos 2D, sin 2D} with S, D the half sum and
-    difference phases.  ``mask`` selects the cells used (e.g. to exclude a
-    resolution-limited near-diagonal band); ``weights`` are least-squares
-    weights on the same cells.
+    Basis: {1, cos 2S, sin 2S, cos 2D, sin 2D, cos t' + cos t'',
+    sin t' + sin t''} with S, D the half sum and difference phases.
+    ``mask`` selects the cells used (e.g. to exclude a resolution-limited
+    near-diagonal band); ``weights`` are least-squares weights on the same
+    cells.
 
     Each basis function is separable, g_i^T A g_j with g = [1, cos t, sin t],
-    so the 5x5 normal equations come from projections of the cell weights
-    and weighted values onto products of g: no n^2-by-5 design is built.
+    so the 7x7 normal equations come from projections of the cell weights
+    and weighted values onto products of g: no n^2-by-7 design is built.
     The reductions are two-operand ``einsum`` calls, which run no threaded
     BLAS routine.
     """
     if period <= 0:
         raise InvalidParameterError("period must be positive")
-    grid = excess.grid
+    grid = pattern.grid
     if grid.extent < 2 * period:
-        raise UnderDeterminedFitError("excess pattern must span >= 2 periods")
-    y = np.asarray(excess.values, dtype=float)
+        raise UnderDeterminedFitError("joint pattern must span >= 2 periods")
+    y = np.asarray(pattern.values, dtype=float)
     sel = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if sel.sum() < 10:
         raise UnderDeterminedFitError("too few cells selected for a joint fit")
@@ -183,18 +193,21 @@ def fit_joint_visibility(
     wy_g = np.einsum("ij,lj->li", w * y, g)
     rhs = np.einsum("akl,kl->a", _JOINT_BASIS, np.einsum("ki,li->kl", g, wy_g))
     coef = _solve_normal(gram, rhs)
-    a, b = float(coef[0]), float(coef[1])
-    c = float(coef[3])
+    a, b, c = float(coef[0]), float(coef[1]), float(coef[3])
+    single = float(np.hypot(coef[5], coef[6]))
     model_a = np.einsum("a,akl->kl", coef, _JOINT_BASIS)
     model = np.einsum("li,lj->ij", np.einsum("kl,ki->li", model_a, g), g)
     model -= y
     if mask is not None:
         model *= sel
     resid = _norm(model) / max(_norm(y), 1e-300)
+    # B + C = c_S + c_D - |c1|^2 / c0; the one-photon shares of B and C
+    # cancel in B - C = c_S - c_D
+    shift = single**2 / a if a > 0 else 0.0
     denom = b - c
     if abs(denom) < 1e-12 * max(abs(a), 1e-300):
         v12 = 0.0
     else:
-        v12 = (b + c) / denom
+        v12 = (b + c - shift) / denom
     v12 = float(min(max(v12, 0.0), 1.0))
-    return JointFit(v12, b, c, a, resid)
+    return JointFit(v12, b, c, single, a, resid)

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The full-scale Monte Carlo closure (240,000 frames) takes ~45 s, so it runs
+The full-scale Monte Carlo closure (240,000 frames) takes ~23 s, so it runs
 once per session and is shared by every test that needs it.
 """
 

@@ -3,7 +3,7 @@
 ``perfbench/run.py`` must end in one JSON result line with stdout and stderr
 merged, so anything the package writes to either stream at import, during a
 run or at exit would make that line unreadable.  These tests run the
-benchmark's shortest ``closure`` run as a subprocess and read what it prints.
+benchmark's shortest runs as subprocesses and read what they print.
 """
 
 import json
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_s", "frames_per_s", "setup_s", "peak_rss_mb")
@@ -30,8 +32,8 @@ def merged_output(argv: list[str]) -> list[str]:
     return out.stdout.splitlines()
 
 
-def closure_run(trace: int) -> list[str]:
-    argv = ["perfbench/run.py", "--workload", "closure", "--seed", "1", "--seconds", "0"]
+def bench_run(trace: int, workload: str = "closure") -> list[str]:
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"]
     return merged_output(argv + ["--trace", str(trace)])
 
 
@@ -40,7 +42,7 @@ def test_import_is_silent():
 
 
 def test_untraced_run_ends_in_result_with_every_end_to_end_metric():
-    lines = closure_run(0)
+    lines = bench_run(0)
     assert len(lines) == 2, lines
     result = json.loads(lines[-1])
     assert result["correct"] is True
@@ -49,7 +51,7 @@ def test_untraced_run_ends_in_result_with_every_end_to_end_metric():
 
 
 def test_traced_run_reports_every_per_layer_metric():
-    lines = closure_run(1)
+    lines = bench_run(1)
     assert len(lines) == 2, lines
     record, result = json.loads(lines[-2]), json.loads(lines[-1])
     assert result["correct"] is True
@@ -58,3 +60,12 @@ def test_traced_run_reports_every_per_layer_metric():
     declared = {m["name"] for m in spec["per_layer"]}
     assert declared <= set(result["metrics"])
 
+
+
+@pytest.mark.parametrize("workload", ["bright", "file_roundtrip"])
+def test_other_workloads_end_in_a_correct_result(workload):
+    # bright checks the two-worker split and the recovered visibilities;
+    # file_roundtrip compares analysis.json with an in-memory recovery
+    lines = bench_run(0, workload)
+    assert len(lines) == 2, lines
+    assert json.loads(lines[-1])["correct"] is True

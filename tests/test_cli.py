@@ -150,7 +150,19 @@ class TestAnalyze:
         assert report["frames_total"] == 3000
         assert report["pairs_accepted"] > 0
         assert 0.0 <= report["v12"] <= 1.0
-        for name in ("estimate.csv", "estimate_marginal.csv", "singles_histogram.csv"):
+        assert 0.0 <= report["v12_ratio"] <= 1.0
+        assert 0.0 < report["accidentals"] < 1.0
+        assert report["fit_residual"] > 0.0
+        assert not {"marginal_fit_residual", "joint_fit_residual"} & report.keys()
+        rec = recover_visibilities(
+            analyze_source(FrameFileReader(run / "frames.bifr"), AnalysisConfig()), PERIOD
+        )
+        assert report["v12_ratio"] == rec.v12_ratio
+        assert report["accidentals"] == rec.accidentals
+        assert report["fit_residual"] == rec.joint_fit.residual
+        outputs = ("estimate.csv", "estimate_marginal.csv", "singles_histogram.csv",
+                   "estimate_super4.pgm", "excess_super4.pgm")
+        for name in outputs:
             assert (out / name).exists()
         assert "V1m" in capsys.readouterr().out
 

@@ -1,13 +1,24 @@
 """Experiment orchestration: distances, the closed-form slit rows against
-the grid route, and the accidental correction's inputs."""
+the grid route, the accidental correction's inputs, and the visibility
+estimator against the noise-free oracle of ``oracle.py``."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import twophoton as tp
+from oracle import expected_accumulator
+from twophoton import framepipe, patterns
 from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import InvalidParameterError
-from twophoton.framepipe import accidental_fraction, estimate_pair_rate
+from twophoton.framepipe import (
+    AnalysisResult,
+    accidental_fraction,
+    analyze_source,
+    corrected_counts,
+    estimate_pair_rate,
+    superpixel_bin,
+)
 from twophoton.optics import SpatialGrid, slit_averaged_rows, slit_rows
 from twophoton.sensor import CameraModel
 
@@ -31,6 +42,64 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
     eps = accidental_fraction(estimate_pair_rate(acc, 0.3), 0.3)
     assert closure.recovered.accidentals == eps
     assert not np.isclose(eps, accidental_fraction(estimate_pair_rate(acc, 0.5), 0.5))
+
+
+@pytest.mark.parametrize("mean_pairs, qe", [(0.5, 0.5), (3.0, 0.5), (2.0, 0.3)])
+@pytest.mark.parametrize("psi", [0.3, 0.6, 0.792, 0.9])
+def test_estimator_recovers_oracle_visibilities(psi, mean_pairs, qe):
+    config = tp.ExperimentConfig(mean_pairs=mean_pairs, camera=CameraModel(quantum_efficiency=qe))
+    acc = expected_accumulator(config, psi, 20_000)
+    rec = tp.recover_visibilities(AnalysisResult(acc, config.analysis_config()), config.fringe_period, qe)
+    want = tp.visibilities_from_psi(psi)
+    assert rec.accidentals == pytest.approx(accidental_fraction(mean_pairs, qe), rel=1e-12)
+    assert abs(rec.v1m - want.v1m) < 1e-3
+    assert abs(rec.v12 - want.v12) < 1e-3
+    assert abs(rec.v12_ratio - want.v12) < 1e-3
+
+
+def test_oracle_matches_monte_carlo_counts():
+    """Pearson's chi-square of the MC's corrected counts against the
+    oracle's, over 4x4 superpixels of the upper triangle (the lower one
+    mirrors it).  At about 0.4 raw counts a superpixel the statistic has
+    variance 2 + k4 / v^2 per superpixel, with v and k4 the corrected
+    counts' Poisson variance and fourth cumulant, not the 2 of a chi-square
+    distribution; over 8,128 superpixels it is normal with that variance.
+    The accepted pair count, which the chi-square alone barely sees, must
+    also be Poisson about the oracle's.  A 4-pixel superpixel spans 1.65
+    fringe periods, so neither check sees the fringes; the estimator tests
+    above do."""
+    n = 20_000
+    config = tp.ExperimentConfig(n_frames=n, mean_pairs=3.0, seed=2026)
+    psi = tp.analytic_summary(config).psi
+    cfg = config.analysis_config()
+    acc = analyze_source(tp.build_simulator(config, psi), cfg).accumulator
+    observed = corrected_counts(acc, cfg)[0]
+    oracle = expected_accumulator(config, psi, n)
+    expected, variance, missing = corrected_counts(oracle, cfg)
+    scale = framepipe._acceptance_scale(oracle, cfg)[0]
+    upper = np.triu(~missing)
+
+    def binned(cells):
+        return superpixel_bin(np.where(upper, cells, 0.0), 4)
+
+    o, e, v, k4 = (binned(x) for x in (observed, expected, variance, oracle.matrix * scale**4))
+    use = v > 0
+    terms = (o[use] - e[use]) ** 2 / v[use]
+    z = (terms.sum() - use.sum()) / np.sqrt(np.sum(2 + k4[use] / v[use] ** 2))
+    assert stats.norm.sf(z) > 1e-3, (terms.sum(), use.sum(), z)
+    pairs = oracle.matrix.sum() / 4
+    assert 2 * stats.norm.sf(abs(acc.pairs_accepted - pairs) / np.sqrt(pairs)) > 1e-3
+
+
+def test_closure_reads_no_band_fill(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fits read an interpolated or excess pattern")
+
+    monkeypatch.setattr(framepipe, "_interpolate_missing", refuse)
+    monkeypatch.setattr(patterns, "excess_pattern", refuse)
+    monkeypatch.setattr(tp.experiment, "excess_pattern", refuse)
+    closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
+    assert 0.0 < closure.recovered.v1m <= 1.0
 
 
 def closed_rows(config, d):

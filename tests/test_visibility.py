@@ -179,12 +179,13 @@ def lstsq_fringe(pattern, period):
 
 
 def lstsq_joint(excess, period, mask=None, weights=None):
-    """The joint fit's coefficients and residual from a dense n^2-by-5 design."""
+    """The joint fit's coefficients and residual from a dense n^2-by-7 design."""
     t = 2 * np.pi * excess.grid.positions / period
     s2, d2 = np.add.outer(t, t), np.subtract.outer(t, t)
     y = excess.values
     sel = np.ones(y.shape, dtype=bool) if mask is None else mask
-    cols = [np.ones(y.shape), np.cos(s2), np.sin(s2), np.cos(d2), np.sin(d2)]
+    cols = [np.ones(y.shape), np.cos(s2), np.sin(s2), np.cos(d2), np.sin(d2),
+            np.add.outer(np.cos(t), np.cos(t)), np.add.outer(np.sin(t), np.sin(t))]
     design = np.column_stack([c[sel] for c in cols])
     sw = np.ones(design.shape[0]) if weights is None else np.sqrt(weights[sel])
     coef = np.linalg.lstsq(design * sw[:, None], y[sel] * sw, rcond=None)[0]
@@ -247,8 +248,10 @@ class TestLstsqOracle:
         assert_close(fit.offset, coef[0], scale)
         assert_close(fit.amp_sum, coef[1], scale)
         assert_close(fit.amp_diff, coef[3], scale)
+        assert_close(fit.amp_single, np.hypot(coef[5], coef[6]), scale)
         assert_close(fit.residual, resid, resid)
-        b, c = coef[1], coef[3]
+        shift = (coef[5] ** 2 + coef[6] ** 2) / (2 * coef[0])
+        b, c = coef[1] - shift, coef[3] - shift
         assert_close(fit.v12, min(max((b + c) / (b - c), 0.0), 1.0), 1.0)
 
     def test_masked_cells_are_never_read(self):
