@@ -188,9 +188,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     reader = FrameFileReader(args.frames_file)
     result = analyze_source(reader, config.analysis_config())
-    recovered = recover_visibilities(
-        result, config.fringe_period, config.camera.quantum_efficiency
-    )
+    recovered = recover_visibilities(result, config.fringe_period)
     acc = result.accumulator
     # the written estimate interpolates the unobserved band for display;
     # the fits above read only the observed cells.  finalize is looked up

@@ -10,16 +10,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .biphoton import ApertureCorrelations, PumpProfile, real_psi
 from .errors import AliasingWarning, EmptyEstimateError, InvalidParameterError, TwoPhotonError
 from .framepipe import (
     AnalysisConfig,
     AnalysisResult,
-    _acceptance_scale,
     accidental_fraction,
     analyze_source,
+    corrected_counts,
     estimate_pair_rate,
 )
 from .optics import (
@@ -152,9 +150,10 @@ def analytic_summary(config: ExperimentConfig, d: float | None = None) -> Analyt
 def joint_pdf(config: ExperimentConfig, psi: float | None = None) -> JointPattern2D:
     """Coincidence probability density sampled at camera pixel centers.
 
-    The camera pitch undersamples the fringe for display purposes, but the
-    Monte Carlo only needs point values at pixel centers, so the sampling
-    warning is suppressed here.
+    The pixel grid samples a fringe period 2.42 times at the default
+    geometry, a property of the camera rather than a choice of the caller.
+    The Monte Carlo needs only point values at pixel centers, so the
+    sampling warning is suppressed here.
     """
     if psi is None:
         psi = analytic_summary(config).psi
@@ -194,32 +193,27 @@ class RecoveredVisibilities:
     joint_fit: JointFit
 
 
-def recover_visibilities(
-    result: AnalysisResult,
-    period: float,
-    quantum_efficiency: float = 0.5,
-) -> RecoveredVisibilities:
+def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisibilities:
     """Fit the visibilities to the acceptance-corrected pair counts.
 
-    Only the observed cells enter the fit: the near-diagonal band the
-    pipeline cannot resolve is left out, and cells are weighted by the
-    vertical-filter acceptance, the inverse variance of a corrected count
-    up to the slowly varying G2 itself.  Accidental cross pairs add the
-    product of the marginals to the counts; it carries no difference
-    fringe, so the difference amplitude holds the pairs' V12 diluted by
-    1 - eps, with eps estimated from the empty-frame fraction.
+    The fit is weighted by the per-cell acceptance of ``corrected_counts``,
+    the inverse variance of a corrected count up to the slowly varying G2
+    itself; its zeros, the near-diagonal band the pipeline cannot resolve,
+    are never read.  Accidental cross pairs add the product of the
+    marginals to the counts; it carries no difference fringe, so the
+    difference amplitude holds the pairs' V12 diluted by 1 - eps, with eps
+    estimated from the empty-frame fraction and the quantum efficiency of
+    the result's camera.
     """
     acc, cfg = result.accumulator, result.config
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to fit")
-    scale, missing = _acceptance_scale(acc, cfg)
-    observed = ~missing
-    counts = JointPattern2D(cfg.camera.pixel_grid(), acc.matrix * scale, "coincidence")
-    weights = np.divide(1.0, scale, out=np.zeros_like(scale), where=observed)
-    jfit = fit_joint_visibility(counts, period, mask=observed, weights=weights)
+    counts, acceptance = corrected_counts(acc, cfg)
+    pattern = JointPattern2D(cfg.camera.pixel_grid(), counts, "coincidence")
+    jfit = fit_joint_visibility(pattern, period, acceptance)
+    qe = cfg.camera.quantum_efficiency
     try:
-        rate = estimate_pair_rate(acc, quantum_efficiency)
-        eps = accidental_fraction(rate, quantum_efficiency)
+        eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
     except TwoPhotonError:
         eps = 0.0
     v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
@@ -243,9 +237,7 @@ def run_closure(config: ExperimentConfig, psi: float | None = None) -> ClosureRe
         psi = analytic_summary(config).psi
     sim = build_simulator(config, psi)
     analysis = analyze_source(sim, config.analysis_config())
-    recovered = recover_visibilities(
-        analysis, config.fringe_period, config.camera.quantum_efficiency
-    )
+    recovered = recover_visibilities(analysis, config.fringe_period)
     return ClosureResult(psi, visibilities_from_psi(psi), recovered, analysis)
 
 
@@ -289,18 +281,20 @@ def analytic_patterns(
 ) -> dict[str, object]:
     """Analytic I(x'), G2, marginal, and excess patterns on a grid.
 
-    Defaults to the camera pixel grid; analytic work usually passes a finer
-    grid to avoid undersampling the fringe.
+    Defaults to the camera pixel grid, whose undersampling of the fringe is
+    the camera's and raises no warning; a grid the caller passes warns when
+    it undersamples.  Analytic work usually passes a finer grid.
     """
     summary = None
     if psi is None or g1 is None:
         summary = analytic_summary(config)
     psi = summary.psi if psi is None else psi
     g1 = summary.g1 if g1 is None else g1
-    grid = grid if grid is not None else config.camera.pixel_grid()
     period = config.fringe_period
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AliasingWarning)
+        if grid is None:
+            warnings.simplefilter("ignore", AliasingWarning)
+            grid = config.camera.pixel_grid()
         intensity = single_photon_pattern(g1, period, grid)
         g2 = coincidence_pattern(psi, period, grid)
         marginal = marginal_pattern(g2)

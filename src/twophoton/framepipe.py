@@ -6,10 +6,11 @@ dropped, and frames with exactly two remaining events whose vertical
 separation is less than one third of their horizontal separation contribute
 an outer-product increment to the coincidence accumulator.
 ``corrected_counts`` divides the geometry of the vertical-separation filter
-out of the accumulated counts and masks the resolution-limited near-diagonal
-band; the visibility fits read those observed cells alone.  ``finalize``
-turns them into a normalized joint pattern for display and export, with the
-band interpolated.
+out of the accumulated counts and returns it as a per-cell acceptance, 0 on
+the resolution-limited near-diagonal band.  That acceptance is the
+visibility fit's weight, and the fit reads only the cells where it is
+positive.  ``finalize`` turns the counts into a normalized joint pattern for
+display and export, with the zero-acceptance cells interpolated.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
 only, and labels just the lit (above-threshold) pixels of a block: they are
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse, stats
+from scipy import linalg, ndimage, sparse, stats
 from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
@@ -312,16 +313,20 @@ def _interpolate_missing(values: np.ndarray, missing: np.ndarray, window: int = 
     return out
 
 
-def _acceptance_scale(
+def corrected_counts(
     acc: CoincidenceAccumulator, cfg: AnalysisConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell acceptance correction factor (0 on missing cells), and the
-    missing mask: the near-diagonal band |col' - col''| <= patch size, where
-    two photons merge into one patch, plus every separation the vertical
-    filter never accepts.
+    """Acceptance-corrected pair counts and the per-cell acceptance.
 
-    Both depend only on |delta col|, so each is built as a profile over the
-    separations and indexed once per cell.
+    A cell's acceptance is the vertical-filter acceptance at its horizontal
+    separation, and 0 on the missing cells: the near-diagonal band
+    |col' - col''| <= patch size, where two photons merge into one patch,
+    and every separation the filter never accepts.  A count is the raw
+    count over its acceptance (0 where that is 0), so its Poisson variance
+    is count / acceptance.  The acceptance is the visibility fit's weight,
+    that variance's inverse up to the slowly varying G2, and its zeros are
+    the cells the fit never reads.  Both matrices are Toeplitz: they depend
+    only on |delta col|.
     """
     cam = cfg.camera
     if acc.width != cam.width:
@@ -330,24 +335,10 @@ def _acceptance_scale(
         )
     idx = np.arange(acc.width)
     accept = vertical_acceptance(idx, cam.strip_height, cfg.ratio)
-    band = (idx <= cam.patch_size) | (accept <= 0)
-    scale = np.where(band, 0.0, 1.0 / np.where(accept > 0, accept, 1.0))
-    dc = np.abs(idx[:, None] - idx[None, :])
-    return scale[dc], band[dc]
-
-
-def corrected_counts(
-    acc: CoincidenceAccumulator, cfg: AnalysisConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance-corrected pair counts, their variances, and the missing mask.
-
-    Counts at horizontal separation dc are divided by the vertical-filter
-    acceptance; variances follow Poisson statistics of the raw counts scaled
-    by the same factor squared.
-    """
-    scale, missing = _acceptance_scale(acc, cfg)
-    raw = acc.matrix.astype(float)
-    return raw * scale, raw * scale**2, missing
+    accept[idx <= cam.patch_size] = 0.0
+    # one division per separation, not one per cell
+    scale = np.divide(1.0, accept, out=np.zeros_like(accept), where=accept > 0)
+    return acc.matrix * linalg.toeplitz(scale), linalg.toeplitz(accept)
 
 
 def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D:
@@ -355,20 +346,19 @@ def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D
     export.
 
     Divides the acceptance-corrected counts (``corrected_counts``) by the
-    total frame count, fills each missing cell (the near-diagonal band and
-    any separation the vertical filter never accepts) with the mean of the
-    valid cells within 3 pixels of it, symmetrizes, and normalizes to unit
-    sum over the pixel-center position grid.  A 7-pixel window mean holds
-    no fringe whose period is a few pixels, so the filled cells are for
-    display only: ``recover_visibilities`` fits the observed cells of
-    ``corrected_counts`` and never reads this estimate.
+    total frame count, fills each cell of zero acceptance (the near-diagonal
+    band and any separation the vertical filter never accepts) with the
+    mean of the observed cells within 3 pixels of it, symmetrizes, and
+    normalizes to unit sum over the pixel-center position grid.  A 7-pixel
+    window mean holds no fringe whose period is a few pixels, so the filled
+    cells are for display only: ``recover_visibilities`` fits the observed
+    cells of ``corrected_counts`` and never reads this estimate.
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    scale, missing = _acceptance_scale(acc, cfg)
-    est = acc.matrix * scale
+    est, acceptance = corrected_counts(acc, cfg)
     est /= acc.frames_total
-    est = _interpolate_missing(est, missing)
+    est = _interpolate_missing(est, acceptance == 0)
     est = 0.5 * (est + est.T)
     grid = cfg.camera.pixel_grid()
     total = est.sum() * grid.spacing**2
@@ -429,15 +419,17 @@ def marginal_consistency(
     """Compare the G2-estimate marginal against the direct singles histogram.
 
     Both are reduced to superpixel bins and normalized; the chi-square uses
-    propagated variances (acceptance-corrected Poisson for the marginal,
-    Poisson for the singles).  The unobservable near-diagonal band is left
+    propagated variances (for the marginal, the Poisson variance count /
+    acceptance of each corrected count; Poisson for the singles).  The
+    cells of zero acceptance, the unobservable near-diagonal band, are left
     out of the marginal rather than interpolated: interpolated cells are
     correlated combinations of the high-weight cells next to the band, which
     would add variance the per-cell propagation cannot see, and the band
     carries a per-row mass fraction so nearly uniform that dropping it is
     absorbed by the shared normalization.
     """
-    counts, variances, _ = corrected_counts(acc, cfg)
+    counts, acceptance = corrected_counts(acc, cfg)
+    variances = np.divide(counts, acceptance, out=np.zeros_like(counts), where=acceptance > 0)
     marg = superpixel_bin(counts.sum(axis=1), factor)
     marg_var = superpixel_bin(variances.sum(axis=1), factor)
     singles = superpixel_bin(acc.singles.astype(float), factor)

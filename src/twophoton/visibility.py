@@ -132,8 +132,8 @@ class JointFit:
     that mixes a pair density with the product of its marginals, in any
     proportion, it is the pair density's V12; on an excess pattern c1 is
     about 0, and it solves B = V(1+V)/2, C = -V(1-V)/2.  ``residual`` is the
-    unweighted |model - y| / |y| over the selected cells, whatever the
-    fit's weights.
+    unweighted |model - y| / |y| over the cells of positive weight, whatever
+    the weights are.
     """
 
     v12: float
@@ -147,16 +147,16 @@ class JointFit:
 def fit_joint_visibility(
     pattern: JointPattern2D,
     period: float,
-    mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> JointFit:
     """Least-squares fit of a G2 or excess pattern at a known fringe period.
 
     Basis: {1, cos 2S, sin 2S, cos 2D, sin 2D, cos t' + cos t'',
     sin t' + sin t''} with S, D the half sum and difference phases.
-    ``mask`` selects the cells used (e.g. to exclude a resolution-limited
-    near-diagonal band); ``weights`` are least-squares weights on the same
-    cells.
+    ``weights`` are least-squares weights per cell, by default all 1.  They
+    must be finite and non-negative; a cell of weight 0 is left out of the
+    fit and never read, so its value may be anything, NaN included (e.g. a
+    resolution-limited near-diagonal band).
 
     Each basis function is separable, g_i^T A g_j with g = [1, cos t, sin t],
     so the 7x7 normal equations come from projections of the cell weights
@@ -170,16 +170,17 @@ def fit_joint_visibility(
     if grid.extent < 2 * period:
         raise UnderDeterminedFitError("joint pattern must span >= 2 periods")
     y = np.asarray(pattern.values, dtype=float)
-    sel = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if sel.sum() < 10:
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != y.shape:
+        raise InvalidParameterError("weights must have the pattern's shape")
+    # NaN fails both comparisons
+    if not (w.min() >= 0 and w.max() < np.inf):
+        raise InvalidParameterError("weights must be finite and non-negative")
+    sel = w > 0
+    if np.count_nonzero(sel) < 10:
         raise UnderDeterminedFitError("too few cells selected for a joint fit")
-    # cells outside the mask are never read, as in a fit of the selected rows
-    if mask is not None:
-        y = np.where(sel, y, 0.0)
-    if weights is None:
-        w = sel.astype(float)
-    else:
-        w = np.where(sel, np.asarray(weights, dtype=float), 0.0)
+    # zero-weight cells are never read, as in a fit of the selected rows
+    y = np.where(sel, y, 0.0)
     g = _fringe_basis(grid.positions, period)
     n = grid.n
     # Gram[a, b] = sum_ij w_ij phi_a(i, j) phi_b(i, j)
@@ -198,8 +199,7 @@ def fit_joint_visibility(
     model_a = np.einsum("a,akl->kl", coef, _JOINT_BASIS)
     model = np.einsum("li,lj->ij", np.einsum("kl,ki->li", model_a, g), g)
     model -= y
-    if mask is not None:
-        model *= sel
+    model *= sel
     resid = _norm(model) / max(_norm(y), 1e-300)
     # B + C = c_S + c_D - |c1|^2 / c0; the one-photon shares of B and C
     # cancel in B - C = c_S - c_D

@@ -171,8 +171,13 @@ class TestAnalyze:
         run, out = tmp_path / "run", tmp_path / "analysis"
         assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
         assert main(["analyze", str(run / "frames.bifr"), "--config", cfg, "--out", str(out)]) == 0
-        result = analyze_source(FrameFileReader(run / "frames.bifr"), AnalysisConfig())
-        want = {qe: recover_visibilities(result, PERIOD, qe).v12 for qe in (0.3, 0.5)}
+        reader = FrameFileReader(run / "frames.bifr")
+        want = {
+            qe: recover_visibilities(
+                analyze_source(reader, AnalysisConfig(tp.CameraModel(quantum_efficiency=qe))), PERIOD
+            ).v12
+            for qe in (0.3, 0.5)
+        }
         assert want[0.3] != want[0.5]
         assert json.loads((out / "analysis.json").read_text())["v12"] == want[0.3]
 

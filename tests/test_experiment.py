@@ -2,6 +2,8 @@
 the grid route, the accidental correction's inputs, and the visibility
 estimator against the noise-free oracle of ``oracle.py``."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,14 +12,12 @@ import twophoton as tp
 from oracle import expected_accumulator
 from twophoton import framepipe, patterns
 from twophoton.biphoton import ApertureCorrelations
-from twophoton.errors import InvalidParameterError
+from twophoton.errors import AliasingWarning, InvalidParameterError
 from twophoton.framepipe import (
     AnalysisResult,
     accidental_fraction,
     analyze_source,
-    corrected_counts,
     estimate_pair_rate,
-    superpixel_bin,
 )
 from twophoton.optics import SpatialGrid, slit_averaged_rows, slit_rows
 from twophoton.sensor import CameraModel
@@ -41,6 +41,8 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
     acc = closure.analysis.accumulator
     eps = accidental_fraction(estimate_pair_rate(acc, 0.3), 0.3)
     assert closure.recovered.accidentals == eps
+    # the result's camera carries the efficiency; no argument repeats it
+    assert tp.recover_visibilities(closure.analysis, config.fringe_period).accidentals == eps
     assert not np.isclose(eps, accidental_fraction(estimate_pair_rate(acc, 0.5), 0.5))
 
 
@@ -49,7 +51,7 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
 def test_estimator_recovers_oracle_visibilities(psi, mean_pairs, qe):
     config = tp.ExperimentConfig(mean_pairs=mean_pairs, camera=CameraModel(quantum_efficiency=qe))
     acc = expected_accumulator(config, psi, 20_000)
-    rec = tp.recover_visibilities(AnalysisResult(acc, config.analysis_config()), config.fringe_period, qe)
+    rec = tp.recover_visibilities(AnalysisResult(acc, config.analysis_config()), config.fringe_period)
     want = tp.visibilities_from_psi(psi)
     assert rec.accidentals == pytest.approx(accidental_fraction(mean_pairs, qe), rel=1e-12)
     assert abs(rec.v1m - want.v1m) < 1e-3
@@ -58,35 +60,32 @@ def test_estimator_recovers_oracle_visibilities(psi, mean_pairs, qe):
 
 
 def test_oracle_matches_monte_carlo_counts():
-    """Pearson's chi-square of the MC's corrected counts against the
-    oracle's, over 4x4 superpixels of the upper triangle (the lower one
-    mirrors it).  At about 0.4 raw counts a superpixel the statistic has
-    variance 2 + k4 / v^2 per superpixel, with v and k4 the corrected
-    counts' Poisson variance and fourth cumulant, not the 2 of a chi-square
-    distribution; over 8,128 superpixels it is normal with that variance.
-    The accepted pair count, which the chi-square alone barely sees, must
-    also be Poisson about the oracle's.  A 4-pixel superpixel spans 1.65
-    fringe periods, so neither check sees the fringes; the estimator tests
-    above do."""
-    n = 20_000
-    config = tp.ExperimentConfig(n_frames=n, mean_pairs=3.0, seed=2026)
+    """Pearson's chi-square of the MC's accepted pair counts against the
+    oracle's, with the cells of the upper triangle off the near-diagonal
+    band binned by the fringe phases (x' / L mod 1, x'' / L mod 1) of their
+    two columns, 8 x 8 bins, so the fringes of every term of G2 are
+    resolved.  The raw counts are Poisson, and bins the oracle expects
+    fewer than 5 counts in are left out.  The accepted pair count must also
+    be Poisson about the oracle's: at about 9,800 pairs a 7% error in the
+    pair rate is 6 sigma away.  The oracle leaves out three survivors of
+    which two merge, which add about 1% to the MC's pairs at mean_pairs 2.
+    """
+    n, k = 50_000, 8
+    config = tp.ExperimentConfig(n_frames=n, mean_pairs=2.0, seed=2026)
     psi = tp.analytic_summary(config).psi
-    cfg = config.analysis_config()
-    acc = analyze_source(tp.build_simulator(config, psi), cfg).accumulator
-    observed = corrected_counts(acc, cfg)[0]
+    acc = analyze_source(tp.build_simulator(config, psi), config.analysis_config()).accumulator
     oracle = expected_accumulator(config, psi, n)
-    expected, variance, missing = corrected_counts(oracle, cfg)
-    scale = framepipe._acceptance_scale(oracle, cfg)[0]
-    upper = np.triu(~missing)
-
-    def binned(cells):
-        return superpixel_bin(np.where(upper, cells, 0.0), 4)
-
-    o, e, v, k4 = (binned(x) for x in (observed, expected, variance, oracle.matrix * scale**4))
-    use = v > 0
-    terms = (o[use] - e[use]) ** 2 / v[use]
-    z = (terms.sum() - use.sum()) / np.sqrt(np.sum(2 + k4[use] / v[use] ** 2))
-    assert stats.norm.sf(z) > 1e-3, (terms.sum(), use.sum(), z)
+    cam = config.camera
+    phase = np.floor(k * np.mod(cam.pixel_grid().positions / config.fringe_period, 1.0))
+    idx = np.arange(cam.width)
+    cells = np.subtract.outer(idx, idx) < -cam.patch_size
+    label = (k * phase[:, None] + phase[None, :]).astype(int)[cells]
+    o = np.bincount(label, acc.matrix[cells], minlength=k * k)
+    e = np.bincount(label, oracle.matrix[cells], minlength=k * k)
+    use = e >= 5
+    assert use.sum() > k * k * 0.9
+    stat = np.sum((o[use] - e[use]) ** 2 / e[use])
+    assert stats.chi2.sf(stat, use.sum()) > 1e-3, (stat, use.sum())
     pairs = oracle.matrix.sum() / 4
     assert 2 * stats.norm.sf(abs(acc.pairs_accepted - pairs) / np.sqrt(pairs)) > 1e-3
 
@@ -100,6 +99,18 @@ def test_closure_reads_no_band_fill(monkeypatch):
     monkeypatch.setattr(tp.experiment, "excess_pattern", refuse)
     closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
     assert 0.0 < closure.recovered.v1m <= 1.0
+
+
+def test_aliasing_warns_only_for_a_grid_the_caller_passes():
+    config = tp.ExperimentConfig()
+    coarse = SpatialGrid(-3 * config.fringe_period, 3 * config.fringe_period, 12)
+    with pytest.warns(AliasingWarning):
+        tp.analytic_patterns(config, grid=coarse, psi=0.6, g1=0.5)
+    # the pixel grid's 2.42 samples per period are the camera's own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasingWarning)
+        tp.analytic_patterns(config, psi=0.6, g1=0.5)
+        tp.joint_pdf(config, psi=0.6)
 
 
 def closed_rows(config, d):

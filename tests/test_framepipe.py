@@ -254,10 +254,10 @@ CAM64 = CameraModel(width=64)
 
 
 def band_mask(width, patch_size):
-    """The missing cells of ``corrected_counts`` for a camera of this width
-    and patch size."""
+    """The missing cells of ``corrected_counts``, those of zero acceptance,
+    for a camera of this width and patch size."""
     cfg = AnalysisConfig(camera=CameraModel(width=width, patch_size=patch_size))
-    return corrected_counts(CoincidenceAccumulator(width), cfg)[2]
+    return corrected_counts(CoincidenceAccumulator(width), cfg)[1] == 0
 
 
 class TestEstimate:
@@ -276,12 +276,18 @@ class TestEstimate:
     def test_corrected_counts_scale(self):
         cfg = AnalysisConfig(camera=CAM64)
         acc = self.make_acc([(10, 40)])
-        counts, variances, missing = corrected_counts(acc, cfg)
+        counts, acceptance = corrected_counts(acc, cfg)
         a = vertical_acceptance(30, cfg.camera.strip_height, cfg.ratio)
+        assert acceptance[10, 40] == acceptance[40, 10] == a
         assert counts[10, 40] == pytest.approx(1 / a)
-        assert variances[10, 40] == pytest.approx(1 / a**2)
+        # one raw count: the corrected count's Poisson variance is 1 / a^2
+        assert counts[10, 40] / acceptance[10, 40] == pytest.approx(1 / a**2)
+        idx = np.arange(64)
+        dc = np.abs(np.subtract.outer(idx, idx))
+        want = np.where(dc <= cfg.camera.patch_size, 0.0, vertical_acceptance(dc, cfg.camera.strip_height, cfg.ratio))
+        assert np.array_equal(acceptance, want)
         assert counts[10, 10] == 0.0  # diagonal is in the missing band
-        assert missing[10, 10]
+        assert acceptance[10, 10] == 0.0
 
     def test_finalize_properties(self):
         # (28, 33) sits next to the missing band, so nearby band cells

@@ -132,15 +132,13 @@ class TestJointFit:
     def test_mask_excludes_cells(self):
         grid = fringe_grid(periods=8, n=320)
         excess = excess_closed_form(0.5, PERIOD, grid)
-        # corrupt a band and mask it out: fit should not notice
+        # corrupt a band and give it zero weight: fit should not notice
         vals = excess.values.copy()
         idx = np.arange(grid.n)
         band = np.abs(idx[:, None] - idx[None, :]) <= 2
         vals[band] = 99.0
-        from twophoton.patterns import JointPattern2D
-
         corrupted = JointPattern2D(grid, vals, "excess", period=PERIOD)
-        fit = fit_joint_visibility(corrupted, PERIOD, mask=~band)
+        fit = fit_joint_visibility(corrupted, PERIOD, (~band).astype(float))
         assert fit.v12 == pytest.approx(0.5, abs=1e-9)
 
     def test_underdetermined(self):
@@ -178,12 +176,13 @@ def lstsq_fringe(pattern, period):
     return coef, np.linalg.norm(design @ coef - y) / np.linalg.norm(y)
 
 
-def lstsq_joint(excess, period, mask=None, weights=None):
-    """The joint fit's coefficients and residual from a dense n^2-by-7 design."""
+def lstsq_joint(excess, period, weights=None):
+    """The joint fit's coefficients and residual from a dense n^2-by-7 design
+    of the cells of positive weight."""
     t = 2 * np.pi * excess.grid.positions / period
     s2, d2 = np.add.outer(t, t), np.subtract.outer(t, t)
     y = excess.values
-    sel = np.ones(y.shape, dtype=bool) if mask is None else mask
+    sel = np.ones(y.shape, dtype=bool) if weights is None else weights > 0
     cols = [np.ones(y.shape), np.cos(s2), np.sin(s2), np.cos(d2), np.sin(d2),
             np.add.outer(np.cos(t), np.cos(t)), np.add.outer(np.sin(t), np.sin(t))]
     design = np.column_stack([c[sel] for c in cols])
@@ -232,18 +231,21 @@ class TestLstsqOracle:
         y = clean + rng.normal(0, np.abs(clean).max(), clean.shape)
         idx = np.arange(grid.n)
         dc = np.abs(np.subtract.outer(idx, idx))
-        mask = weights = None
+        # a mask is a weight of 1 on the cells it selects and 0 elsewhere
+        weights = None
         if selection in ("mask", "both"):
-            mask = rng.random(y.shape) < 0.6
-        if selection in ("weights", "both"):
+            weights = (rng.random(y.shape) < 0.6).astype(float)
+        if selection == "weights":
             weights = rng.uniform(0.05, 2.0, y.shape)
+        if selection == "both":
+            weights *= rng.uniform(0.05, 2.0, y.shape)
         if selection == "band_acceptance":
-            # the analysis' own selection: no near-diagonal band, weights
+            # the analysis' own weights: 0 on the near-diagonal band, then
             # falling with the horizontal separation
-            mask, weights = dc > 3, 1.0 / (1.0 + dc)
+            weights = np.where(dc > 3, 1.0 / (1.0 + dc), 0.0)
         excess = JointPattern2D(grid, y, "excess", period=PERIOD)
-        fit = fit_joint_visibility(excess, PERIOD, mask=mask, weights=weights)
-        coef, resid = lstsq_joint(excess, PERIOD, mask, weights)
+        fit = fit_joint_visibility(excess, PERIOD, weights)
+        coef, resid = lstsq_joint(excess, PERIOD, weights)
         scale = np.abs(coef).max()
         assert_close(fit.offset, coef[0], scale)
         assert_close(fit.amp_sum, coef[1], scale)
@@ -258,15 +260,26 @@ class TestLstsqOracle:
         grid = ORACLE_GRIDS["odd"]
         excess = excess_closed_form(0.4, PERIOD, grid)
         idx = np.arange(grid.n)
-        band = np.abs(np.subtract.outer(idx, idx)) <= 3
-        dirty = excess.values.copy()
-        dirty[band] = np.nan
-        weights = np.where(band, np.inf, 1.0)
+        dc = np.abs(np.subtract.outer(idx, idx))
+        weights = np.where(dc <= 3, 0.0, 1.0 / (1.0 + dc))
+        dirty = np.where(weights == 0, np.nan, excess.values)
         fit = fit_joint_visibility(
-            JointPattern2D(grid, dirty, "excess", period=PERIOD), PERIOD, ~band, weights
+            JointPattern2D(grid, dirty, "excess", period=PERIOD), PERIOD, weights
         )
-        clean = fit_joint_visibility(excess, PERIOD, ~band)
-        assert fit == clean
+        assert fit == fit_joint_visibility(excess, PERIOD, weights)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, -np.inf])
+    def test_weights_must_be_finite_and_non_negative(self, bad):
+        excess = excess_closed_form(0.4, PERIOD, ORACLE_GRIDS["odd"])
+        weights = np.ones(excess.values.shape)
+        weights[7, 40] = bad
+        with pytest.raises(InvalidParameterError):
+            fit_joint_visibility(excess, PERIOD, weights)
+
+    def test_weights_must_match_the_pattern(self):
+        excess = excess_closed_form(0.4, PERIOD, ORACLE_GRIDS["odd"])
+        with pytest.raises(InvalidParameterError):
+            fit_joint_visibility(excess, PERIOD, np.ones((3, 3)))
 
 
 class TestUnderDetermined:
@@ -278,7 +291,7 @@ class TestUnderDetermined:
         idx = np.arange(grid.n)
         anti = np.add.outer(idx, idx) == grid.n - 1
         with pytest.raises(UnderDeterminedFitError):
-            fit_joint_visibility(excess, PERIOD, mask=anti)
+            fit_joint_visibility(excess, PERIOD, anti.astype(float))
 
     def test_fringe_sampled_at_half_periods(self):
         # two samples per period, on the fringe's zero crossings of sin
