@@ -33,7 +33,6 @@ from .experiment import (
 )
 from .frameio import FrameFileReader, write_frames
 from .framepipe import (
-    AnalysisConfig,
     AnalysisResult,
     CoincidenceAccumulator,
     analyze_source,

@@ -59,11 +59,11 @@ class PumpProfile:
         return cls("uniform", width, grid, np.ones(n, dtype=complex))
 
     @classmethod
-    def gaussian(cls, width: float, n: int = 4096, extent_factor: float = 2.0) -> "PumpProfile":
-        """Gaussian beam with 1/e^2 intensity diameter ``width``."""
+    def gaussian(cls, width: float, n: int = 4096) -> "PumpProfile":
+        """Gaussian beam of 1/e^2 intensity diameter ``width``, sampled over 4 widths."""
         if width <= 0:
             raise InvalidParameterError("pump width must be positive")
-        grid = SpatialGrid.cell_centered(2 * extent_factor * width, n)
+        grid = SpatialGrid.cell_centered(4.0 * width, n)
         x = grid.positions
         return cls("gaussian", width, grid, np.exp(-4 * (x / width) ** 2) + 0j)
 
@@ -125,16 +125,16 @@ def normalized_values(
     return g1, psi
 
 
-def real_psi(psi: complex, tol: float = 1e-9) -> float:
+def real_psi(psi: complex) -> float:
     """Collapse psi to the real number used by the visibility formulas.
 
-    Symmetric 2f geometries give a real psi (up to quadrature noise) and the
-    signed real part is returned, preserving negative sinc lobes.  Free-space
-    illumination attaches a distance-dependent global propagation phase with
-    no physical content for fringe visibilities; in that case the magnitude
-    is returned.
+    Symmetric 2f geometries give a real psi, up to quadrature noise under
+    1e-9 max(1, |psi|), and the signed real part is returned, preserving
+    negative sinc lobes.  Free-space illumination attaches a
+    distance-dependent global propagation phase with no physical content
+    for fringe visibilities; in that case the magnitude is returned.
     """
-    if abs(psi.imag) <= tol * max(1.0, abs(psi)):
+    if abs(psi.imag) <= 1e-9 * max(1.0, abs(psi)):
         return float(psi.real)
     return float(abs(psi))
 

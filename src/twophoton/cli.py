@@ -60,6 +60,7 @@ _CONFIG_FLOATS = (
 _CONFIG_INTS = ("pump_grid_n", "n_frames", "seed")
 _CONFIG_STRS = ("mode", "pump_shape")
 _CAMERA_FLOATS = ("quantum_efficiency", "threshold", "dark_rate", "pitch")
+_FRINGE_KEYS = ("wavelength", "focal_length", "slit_separation")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -125,16 +126,12 @@ def _write_sidecar(path: Path, config: ExperimentConfig, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _display_grid(config: ExperimentConfig, n: int = 256, periods: int = 8) -> SpatialGrid:
-    half = periods * config.fringe_period / 2
-    return SpatialGrid(-half, half, n)
-
-
 def cmd_pattern(args) -> int:
     config = build_config(args)
     out = _out_dir(args)
     summary = analytic_summary(config)
-    grid = _display_grid(config)
+    # eight fringe periods, 256 samples
+    grid = SpatialGrid(-4 * config.fringe_period, 4 * config.fringe_period, 256)
     pats = analytic_patterns(config, grid=grid, psi=summary.psi, g1=summary.g1)
     x = grid.positions
     write_pattern_csv(out / "intensity.csv", x, pats["intensity"].values)
@@ -183,17 +180,40 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
+def _analyze_config(args) -> ExperimentConfig:
+    """The configuration, with the camera and fringe-period keys of the run
+    in the ``frames.json`` that names the frame file, which ``--config`` may
+    not change."""
     config = build_config(args)
+    path = Path(args.frames_file)
+    sidecar = path.parent / "frames.json"
+    try:
+        meta = json.loads(sidecar.read_text()) if sidecar.is_file() else {}
+        if meta.get("frame_file") != path.name:
+            return config
+        camera = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"]["camera"].items()}
+        fringe = {k: float(meta["config"][k]) for k in _FRINGE_KEYS}
+        recorded = dataclasses.replace(config, camera=CameraModel(**camera), **fringe)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FrameFormatError(f"cannot read {sidecar}: {exc!r}") from exc
+    differ = [k for k, v in fringe.items() if getattr(config, k) != v]
+    differ += [k for k, v in camera.items() if getattr(config.camera, k) != v]
+    if args.config and differ:
+        raise InvalidParameterError(f"--config differs from the run recorded in {sidecar} on {differ}")
+    return recorded
+
+
+def cmd_analyze(args) -> int:
+    config = _analyze_config(args)
     out = _out_dir(args)
     reader = FrameFileReader(args.frames_file)
-    result = analyze_source(reader, config.analysis_config())
+    result = analyze_source(reader, config.camera)
     recovered = recover_visibilities(result, config.fringe_period)
     acc = result.accumulator
     # the written estimate interpolates the unobserved band for display;
     # the fits above read only the observed cells.  finalize is looked up
     # on its module, where the benchmark's trace hook wraps it.
-    estimate = framepipe.finalize(acc, result.config)
+    estimate = framepipe.finalize(acc, result.camera)
     marginal = marginal_pattern(estimate)
     excess = excess_pattern(estimate, marginal, config.fringe_period)
     x = estimate.grid.positions
@@ -209,10 +229,7 @@ def cmd_analyze(args) -> int:
         "accidentals": recovered.accidentals,
         "fit_residual": recovered.joint_fit.residual,
         "frames_total": acc.frames_total,
-        "frames_empty": acc.frames_empty,
-        "frames_single": acc.frames_single,
-        "frames_pair": acc.frames_pair,
-        "frames_multi": acc.frames_multi,
+        **{f"frames_{k}": v for k, v in acc.class_counts().items()},
         "pairs_rejected": acc.pairs_rejected,
         "pairs_accepted": acc.pairs_accepted,
     }

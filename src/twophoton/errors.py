@@ -34,7 +34,7 @@ class EmptyEstimateError(TwoPhotonError, ValueError):
 
 
 class FrameFormatError(TwoPhotonError, ValueError):
-    """A frame file violates the binary format; carries the byte offset."""
+    """A frame file or its ``frames.json`` is malformed; may carry the byte offset."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

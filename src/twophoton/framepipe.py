@@ -1,10 +1,12 @@
 """Frame-by-frame data reduction: from analog frames to a G2 estimate.
 
-Each frame is thresholded, 8-connected above-threshold patches become photon
-events located at their analog maximum, events outside the readout strip are
-dropped, and frames with exactly two remaining events whose vertical
-separation is less than one third of their horizontal separation contribute
-an outer-product increment to the coincidence accumulator.
+Every step reads the ``CameraModel`` whose frames it reduces.  Each frame
+is thresholded, 8-connected above-threshold patches of at least the
+camera's ``min_patch`` pixels become photon events located at their analog
+maximum, events outside the readout strip are dropped, and frames with
+exactly two remaining events whose vertical separation is less than
+``RATIO`` = 1/3 of their horizontal separation contribute an outer-product
+increment to the coincidence accumulator.
 ``corrected_counts`` divides the geometry of the vertical-separation filter
 out of the accumulated counts and returns it as a per-cell acceptance, 0 on
 the resolution-limited near-diagonal band.  That acceptance is the
@@ -35,25 +37,8 @@ from .sensor import FULL_SCALE, CameraModel, PhotonEvent
 _CONN8 = np.ones((3, 3), dtype=int)
 # frames drawn, rendered and labelled together; results do not depend on it
 _BLOCK = 64
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """The camera whose frames are reduced, and the reduction's own knobs.
-
-    Pixel pitch, readout strip, patch size and threshold are the camera's:
-    the analysis reads them from ``camera`` and stores no copy.
-    """
-
-    camera: CameraModel = field(default_factory=CameraModel)
-    min_patch: int = 4
-    ratio: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if self.min_patch < 1:
-            raise InvalidParameterError("min_patch must be >= 1")
-        if not 0 < self.ratio:
-            raise InvalidParameterError("ratio must be positive")
+# the vertical filter keeps a pair iff |delta row| < RATIO * |delta col|
+RATIO = 1.0 / 3.0
 
 
 def threshold_frame(frame: np.ndarray, level: int) -> np.ndarray:
@@ -63,14 +48,12 @@ def threshold_frame(frame: np.ndarray, level: int) -> np.ndarray:
     return (np.asarray(frame) > level).astype(np.uint8)
 
 
-def detect_photons(
-    binary: np.ndarray, analog: np.ndarray, min_patch: int = 4
-) -> list[PhotonEvent]:
+def detect_photons(binary: np.ndarray, analog: np.ndarray, min_patch: int) -> list[PhotonEvent]:
     """Photon events from a thresholded frame.
 
-    Each 8-connected component of at least ``min_patch`` pixels yields one
-    event at its analog maximum; ties resolve to the smallest (row, col).
-    Smaller components (e.g. single-pixel dark counts) are rejected.
+    Each 8-connected component of at least ``min_patch`` (the camera's)
+    pixels yields one event at its analog maximum; ties resolve to the
+    smallest (row, col).  Smaller components (e.g. dark pixels) are rejected.
 
     Labels the dense frame with ``ndimage.label``: this is the independent
     reference that the sparse labelling of ``_block_events`` must equal.
@@ -122,15 +105,11 @@ class ClassifiedFrame:
     in_strip: tuple[PhotonEvent, ...]
 
 
-def classify_and_filter(
-    events: list[PhotonEvent],
-    strip_rows: tuple[int, int],
-    ratio: float = 1.0 / 3.0,
-) -> ClassifiedFrame:
+def classify_and_filter(events: list[PhotonEvent], strip_rows: tuple[int, int]) -> ClassifiedFrame:
     """Drop out-of-strip events, classify the frame, and filter pairs.
 
     A two-event frame is accepted as a coincidence pair iff
-    |delta row| < ratio * |delta col| (strict; equality rejects).
+    |delta row| < RATIO * |delta col|: strict, so (1, 3) is rejected.
     """
     r0, r1 = strip_rows
     inside = tuple(e for e in events if r0 <= e.row <= r1)
@@ -141,7 +120,7 @@ def classify_and_filter(
     if len(inside) > 2:
         return ClassifiedFrame("multi", None, inside)
     a, b = sorted(inside, key=lambda e: (e.col, e.row))
-    if abs(a.row - b.row) < ratio * abs(a.col - b.col):
+    if abs(a.row - b.row) < RATIO * abs(a.col - b.col):
         return ClassifiedFrame("pair", PairRecord(a, b), inside)
     return ClassifiedFrame("pair", None, inside)
 
@@ -225,13 +204,12 @@ def _strip_window(camera: CameraModel) -> tuple[int, int]:
     return max(r0 - margin, 0), min(r1 + margin + 1, camera.height)
 
 
-def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumulator) -> str:
-    """Reduce one frame into the accumulator; returns the frame class.
+def process_frame(frame: np.ndarray, cam: CameraModel, acc: CoincidenceAccumulator) -> str:
+    """Reduce one frame of ``cam`` into the accumulator; returns its class.
 
     The per-frame reference for the block reduction in ``analyze_source``:
     only the rows of ``_strip_window`` are examined.
     """
-    cam = cfg.camera
     acc.frames_total += 1
     v0, v1 = _strip_window(cam)
     view = frame[v0:v1]
@@ -241,9 +219,9 @@ def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumu
     binary = threshold_frame(view, cam.threshold_analog)
     events = [
         PhotonEvent(e.row + v0, e.col, e.peak)
-        for e in detect_photons(binary, view, cfg.min_patch)
+        for e in detect_photons(binary, view, cam.min_patch)
     ]
-    cls = classify_and_filter(events, cam.strip_rows, cfg.ratio)
+    cls = classify_and_filter(events, cam.strip_rows)
     if cls.kind == "empty":
         acc.frames_empty += 1
     elif cls.kind == "single":
@@ -260,21 +238,19 @@ def process_frame(frame: np.ndarray, cfg: AnalysisConfig, acc: CoincidenceAccumu
     return cls.kind
 
 
-def vertical_acceptance(
-    delta_col: np.ndarray | int, strip_height: int, ratio: float = 1.0 / 3.0
-) -> np.ndarray | float:
+def vertical_acceptance(delta_col: np.ndarray | int, strip_height: int) -> np.ndarray | float:
     """Probability that the vertical filter accepts a pair at |delta col|.
 
     Rows are independent and uniform over the strip, so acceptance is the
-    exact count of integer row pairs with |delta row| < ratio * |delta col|
+    exact count of integer row pairs with |delta row| < RATIO * |delta col|
     over strip_height^2.  This is the geometric bias the filter imposes as a
     function of horizontal separation; ``corrected_counts`` divides it out.
     """
     if strip_height < 1:
         raise InvalidParameterError("strip height must be >= 1")
     dc = np.abs(np.asarray(delta_col, dtype=float))
-    # largest integer strictly below ratio*|dc|
-    m = np.ceil(ratio * dc).astype(int) - 1
+    # largest integer strictly below RATIO*|dc|
+    m = np.ceil(RATIO * dc).astype(int) - 1
     m = np.clip(m, -1, strip_height - 1)
     h = float(strip_height)
     ordered = np.where(m < 0, 0.0, h + 2 * (m * h - m * (m + 1) / 2.0))
@@ -314,34 +290,33 @@ def _interpolate_missing(values: np.ndarray, missing: np.ndarray, window: int = 
 
 
 def corrected_counts(
-    acc: CoincidenceAccumulator, cfg: AnalysisConfig
+    acc: CoincidenceAccumulator, cam: CameraModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Acceptance-corrected pair counts and the per-cell acceptance.
 
     A cell's acceptance is the vertical-filter acceptance at its horizontal
-    separation, and 0 on the missing cells: the near-diagonal band
-    |col' - col''| <= patch size, where two photons merge into one patch,
-    and every separation the filter never accepts.  A count is the raw
-    count over its acceptance (0 where that is 0), so its Poisson variance
-    is count / acceptance.  The acceptance is the visibility fit's weight,
+    separation over the camera's strip, and 0 on the missing cells: the
+    near-diagonal band |col' - col''| <= ``cam.patch_size``, where two
+    photons merge into one patch, and every separation the filter never
+    accepts.  A count is the raw count over its acceptance (0 where that is
+    0), so its Poisson variance is count / acceptance.  The acceptance is the visibility fit's weight,
     that variance's inverse up to the slowly varying G2, and its zeros are
     the cells the fit never reads.  Both matrices are Toeplitz: they depend
     only on |delta col|.
     """
-    cam = cfg.camera
     if acc.width != cam.width:
         raise InvalidParameterError(
             f"accumulator width {acc.width} differs from the camera width {cam.width}"
         )
     idx = np.arange(acc.width)
-    accept = vertical_acceptance(idx, cam.strip_height, cfg.ratio)
+    accept = vertical_acceptance(idx, cam.strip_height)
     accept[idx <= cam.patch_size] = 0.0
     # one division per separation, not one per cell
     scale = np.divide(1.0, accept, out=np.zeros_like(accept), where=accept > 0)
     return acc.matrix * linalg.toeplitz(scale), linalg.toeplitz(accept)
 
 
-def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D:
+def finalize(acc: CoincidenceAccumulator, cam: CameraModel) -> JointPattern2D:
     """Normalized G2 estimate from the accumulated counts, for display and
     export.
 
@@ -356,11 +331,11 @@ def finalize(acc: CoincidenceAccumulator, cfg: AnalysisConfig) -> JointPattern2D
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    est, acceptance = corrected_counts(acc, cfg)
+    est, acceptance = corrected_counts(acc, cam)
     est /= acc.frames_total
     est = _interpolate_missing(est, acceptance == 0)
     est = 0.5 * (est + est.T)
-    grid = cfg.camera.pixel_grid()
+    grid = cam.pixel_grid()
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
@@ -414,7 +389,7 @@ def chi2_compare(observed: np.ndarray, expected: np.ndarray, variance: np.ndarra
 
 
 def marginal_consistency(
-    acc: CoincidenceAccumulator, cfg: AnalysisConfig, factor: int = 4
+    acc: CoincidenceAccumulator, cam: CameraModel, factor: int = 4
 ) -> Chi2Result:
     """Compare the G2-estimate marginal against the direct singles histogram.
 
@@ -428,7 +403,7 @@ def marginal_consistency(
     carries a per-row mass fraction so nearly uniform that dropping it is
     absorbed by the shared normalization.
     """
-    counts, acceptance = corrected_counts(acc, cfg)
+    counts, acceptance = corrected_counts(acc, cam)
     variances = np.divide(counts, acceptance, out=np.zeros_like(counts), where=acceptance > 0)
     marg = superpixel_bin(counts.sum(axis=1), factor)
     marg_var = superpixel_bin(variances.sum(axis=1), factor)
@@ -487,21 +462,21 @@ def accidental_fraction(mean_pairs: float, quantum_efficiency: float) -> float:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """The reduction of a frame stream: its accumulator and the analysis
-    configuration that produced it."""
+    """The reduction of a frame stream: its accumulator and the camera whose
+    frames were reduced, and whose values the fits read."""
 
     accumulator: CoincidenceAccumulator
-    config: AnalysisConfig
+    camera: CameraModel
 
 
 def _block_events(
-    frames: np.ndarray, v0: int, cfg: AnalysisConfig
+    frames: np.ndarray, v0: int, cam: CameraModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-strip photon events of a block as (frame, row, col), by frame.
 
     ``frames[n]`` holds frame rows v0, v0+1, ...  Same events as
     ``detect_photons`` frame by frame: each 8-connected patch of at least
-    ``min_patch`` pixels, located at its analog maximum with ties to the
+    ``cam.min_patch`` pixels, located at its analog maximum with ties to the
     smallest (row, col).
 
     Only the lit (above-threshold) pixels are labelled.  Each is joined to
@@ -510,7 +485,6 @@ def _block_events(
     masks keep an edge from wrapping across a row end or into the next
     frame.  The patches are the connected components of that graph.
     """
-    cam = cfg.camera
     _, h, w = frames.shape
     pix = np.flatnonzero(frames > cam.threshold_analog)
     if pix.size == 0:
@@ -539,7 +513,7 @@ def _block_events(
     lab = lab[order]
     head = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
     sizes = np.diff(np.r_[head, lab.size])
-    peaks = np.sort(pix[order[head[sizes >= cfg.min_patch]]])
+    peaks = np.sort(pix[order[head[sizes >= cam.min_patch]]])
     f, rest = np.divmod(peaks, h * w)
     row, col = np.divmod(rest, w)
     row += v0
@@ -548,22 +522,22 @@ def _block_events(
 
 
 def _reduce_range(
-    source, cfg: AnalysisConfig, lo: int, hi: int, block: int = _BLOCK
+    source, cam: CameraModel, lo: int, hi: int, block: int = _BLOCK
 ) -> CoincidenceAccumulator:
     """Reduce frames ``lo..hi-1`` block by block into a new accumulator.
 
     Equal to ``process_frame`` on every frame, for any block size.  Frames a
     source leaves out of its ``strip_block`` are blank and count as empty.
     """
-    width = cfg.camera.width
-    rows = _strip_window(cfg.camera)
+    width = cam.width
+    rows = _strip_window(cam)
     acc = CoincidenceAccumulator(width)
     acc.frames_total = hi - lo
     singles = [np.empty(0, dtype=np.int64)]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for b0 in range(lo, hi, block):
         frames = source.strip_block(b0, min(b0 + block, hi), rows)
-        f, row, col = _block_events(frames, rows[0], cfg)
+        f, row, col = _block_events(frames, rows[0], cam)
         per_frame = np.bincount(f, minlength=len(frames))
         acc.frames_single += int(np.count_nonzero(per_frame == 1))
         acc.frames_pair += int(np.count_nonzero(per_frame == 2))
@@ -572,7 +546,7 @@ def _reduce_range(
         singles.append(col[count == 1])
         # events come sorted by frame, so a two-event frame is two neighbors
         r2, c2 = row[count == 2].reshape(-1, 2), col[count == 2].reshape(-1, 2)
-        accept = np.abs(r2[:, 0] - r2[:, 1]) < cfg.ratio * np.abs(c2[:, 0] - c2[:, 1])
+        accept = np.abs(r2[:, 0] - r2[:, 1]) < RATIO * np.abs(c2[:, 0] - c2[:, 1])
         acc.pairs_rejected += int(np.count_nonzero(~accept))
         pairs.append(c2[accept])
     acc.frames_empty = acc.frames_total - acc.frames_single - acc.frames_pair - acc.frames_multi
@@ -583,8 +557,8 @@ def _reduce_range(
     return acc
 
 
-def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) -> AnalysisResult:
-    """Reduce a frame source (BIFR reader or simulator) end to end.
+def analyze_source(source, camera: CameraModel, workers: int = 1) -> AnalysisResult:
+    """Reduce a frame source (BIFR reader or simulator) of ``camera``.
 
     A source has a ``shape = (height, width)``, which must be the camera's,
     a length, and ``strip_block(lo, hi, rows)``.
@@ -594,18 +568,16 @@ def analyze_source(source, cfg: AnalysisConfig | None = None, workers: int = 1) 
     """
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
-    cfg = cfg or AnalysisConfig()
-    cam = cfg.camera
-    if source.shape != (cam.height, cam.width):
+    if source.shape != (camera.height, camera.width):
         raise InvalidParameterError(
             f"frames of shape {source.shape} do not fit the "
-            f"{cam.height}x{cam.width} camera"
+            f"{camera.height}x{camera.width} camera"
         )
     n = len(source)
     if n == 0:
         raise EmptyEstimateError("frame source is empty")
     bounds = [n * k // workers for k in range(workers + 1)]
-    total = _reduce_range(source, cfg, bounds[0], bounds[1])
+    total = _reduce_range(source, camera, bounds[0], bounds[1])
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        total.merge(_reduce_range(source, cfg, lo, hi))
-    return AnalysisResult(total, cfg)
+        total.merge(_reduce_range(source, camera, lo, hi))
+    return AnalysisResult(total, camera)

@@ -31,8 +31,11 @@ from .errors import AliasingWarning, CompositionError, InvalidParameterError
 from .optics import LinearKernel, SlitPair, SpatialGrid, slit_columns
 
 
-def _check_sampling(grid: SpatialGrid, period: float | None):
-    if period is not None and grid.spacing > period / 8:
+def _check_period(grid: SpatialGrid, period: float):
+    """Reject a non-positive period; warn when the grid undersamples it."""
+    if period <= 0:
+        raise InvalidParameterError("period must be positive")
+    if grid.spacing > period / 8:
         warnings.warn(
             f"only {period / grid.spacing:.2f} samples per fringe period "
             "(< 8); pattern may be undersampled",
@@ -96,9 +99,7 @@ def single_photon_pattern(
     """1 + g1 cos(2 pi x / period), normalized to unit mean over the grid."""
     if abs(g1) > 1 + 1e-12:
         raise InvalidParameterError(f"|g1| must be <= 1, got {g1}")
-    if period <= 0:
-        raise InvalidParameterError("period must be positive")
-    _check_sampling(grid, period)
+    _check_period(grid, period)
     v = 1.0 + g1 * np.cos(2 * np.pi * grid.positions / period)
     return FringePattern1D(grid, v / v.mean(), period)
 
@@ -155,22 +156,15 @@ def coincidence_general(
     return JointPattern2D(h2.grid_out, g2, "coincidence")
 
 
-def coincidence_pattern(
-    psi: complex,
-    period: float,
-    grid: SpatialGrid,
-    form: str = "modulus",
-) -> JointPattern2D:
-    """Closed-form coincidence pattern for a 2f detection system.
+def coincidence_pattern(psi: complex, period: float, grid: SpatialGrid) -> JointPattern2D:
+    """Closed-form coincidence pattern |cos S + psi cos D|^2 for a 2f
+    detection system, unit-sum normalized.
 
-    ``form='modulus'`` evaluates |cos S + psi cos D|^2 directly;
-    ``form='expanded'`` evaluates its four-term cosine expansion.  The two
-    agree pointwise.  psi may be complex or exceed unit modulus (the
-    reciprocal representative swaps sum- and difference-fringe roles).
+    psi may be complex or exceed unit modulus (the reciprocal representative
+    swaps sum- and difference-fringe roles).  The tests hold the modulus
+    against its four-term cosine expansion in the module docstring.
     """
-    if period <= 0:
-        raise InvalidParameterError("period must be positive")
-    _check_sampling(grid, period)
+    _check_period(grid, period)
     x = grid.positions
     # S and D are built in place: the same floats as pi * (x' +- x'') / period
     sp = np.add.outer(x, x)
@@ -179,27 +173,15 @@ def coincidence_pattern(
     dp = np.subtract.outer(x, x)
     dp *= np.pi
     dp /= period
-    if form == "modulus" and np.iscomplexobj(psi):
+    if np.iscomplexobj(psi):
         v = np.abs(np.cos(sp) + psi * np.cos(dp)) ** 2
-    elif form == "modulus":
+    else:
         v = np.cos(sp, out=sp)
         np.cos(dp, out=dp)
         dp *= psi
         v += dp
         np.abs(v, out=v)
         np.square(v, out=v)
-    elif form == "expanded":
-        m2 = abs(psi) ** 2
-        norm = (1.0 + m2) / 2.0
-        v = norm * (
-            1.0
-            + np.cos(2 * sp) / (1 + m2)
-            + m2 * np.cos(2 * dp) / (1 + m2)
-            + (2 * np.real(psi) / (1 + m2))
-            * (np.cos(2 * np.pi * x[:, None] / period) + np.cos(2 * np.pi * x[None, :] / period))
-        )
-    else:
-        raise InvalidParameterError(f"unknown form {form!r}")
     v = _normalized(v, grid.spacing)
     return JointPattern2D(grid, v, "coincidence", period=period)
 
@@ -258,37 +240,22 @@ def excess_pattern(
     return JointPattern2D(g2.grid, v, "excess", period=period)
 
 
-def excess_closed_form(
-    v12: float,
-    period: float,
-    grid: SpatialGrid,
-    form: str = "sumdiff",
-    offset: float | None = None,
-) -> JointPattern2D:
-    """Closed-form excess pattern for two-photon visibility ``v12``.
+def excess_closed_form(v12: float, period: float, grid: SpatialGrid) -> JointPattern2D:
+    """Closed-form excess pattern V(1+V)/2 cos(2S) - V(1-V)/2 cos(2D) + A
+    for two-photon visibility V = ``v12``.
 
-    ``form='sumdiff'``: V(1+V)/2 cos(2S) - V(1-V)/2 cos(2D) + A.
-    ``form='product'``: V^2 cos cos - V sin sin + A.
-    The two agree pointwise.  A defaults to the unit-sum choice over the
-    integer-period region of interest.
+    A is the unit-sum choice over the integer-period region of interest.
+    The tests hold the sum/difference form against the product form of the
+    module docstring.
     """
-    if period <= 0:
-        raise InvalidParameterError("period must be positive")
-    _check_sampling(grid, period)
-    x = grid.positions
-    t = 2 * np.pi * x / period
-    if form == "sumdiff":
-        s2 = t[:, None] + t[None, :]
-        d2 = t[:, None] - t[None, :]
-        v = 0.5 * v12 * (1 + v12) * np.cos(s2) - 0.5 * v12 * (1 - v12) * np.cos(d2)
-    elif form == "product":
-        v = v12 ** 2 * np.outer(np.cos(t), np.cos(t)) - v12 * np.outer(np.sin(t), np.sin(t))
-    else:
-        raise InvalidParameterError(f"unknown form {form!r}")
-    if offset is None:
-        roi = _roi_slice(grid, period)
-        cell = grid.spacing ** 2
-        block = v[roi, roi]
-        offset = (1.0 - block.sum() * cell) / (block.size * cell)
+    _check_period(grid, period)
+    t = 2 * np.pi * grid.positions / period
+    s2 = t[:, None] + t[None, :]
+    d2 = t[:, None] - t[None, :]
+    v = 0.5 * v12 * (1 + v12) * np.cos(s2) - 0.5 * v12 * (1 - v12) * np.cos(d2)
+    roi = _roi_slice(grid, period)
+    cell = grid.spacing ** 2
+    block = v[roi, roi]
+    offset = (1.0 - block.sum() * cell) / (block.size * cell)
     return JointPattern2D(grid, v + offset, "excess", period=period)
 

@@ -29,8 +29,8 @@ class CameraModel:
     Analog levels are fractions of the 16-bit full scale.  A photon patch
     has its peak drawn from ``peak_range`` and each neighbor at a
     ``neighbor_range`` fraction of that peak, so the peak pixel is the
-    strict patch maximum.  Dark events are single above-threshold pixels, so
-    the minimum-patch-size cut in the analysis rejects them.
+    strict patch maximum.  Dark events are single above-threshold pixels,
+    which the analysis's ``min_patch`` cut rejects unless patch_size is 1.
     """
 
     width: int = 512
@@ -75,6 +75,11 @@ class CameraModel:
     @property
     def threshold_analog(self) -> int:
         return int(self.threshold * FULL_SCALE)
+
+    @property
+    def min_patch(self) -> int:
+        """Fewest pixels of a photon patch: one clipped at a frame corner."""
+        return (self.patch_size // 2 + 1) ** 2
 
     @property
     def strip_height(self) -> int:

@@ -29,7 +29,7 @@ def full_scale_closure():
 @pytest.fixture(scope="session")
 def full_scale_consistency(full_scale_closure):
     res = full_scale_closure.result.analysis
-    return marginal_consistency(res.accumulator, res.config)
+    return marginal_consistency(res.accumulator, res.camera)
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 
 import twophoton as tp
-from twophoton.framepipe import AnalysisConfig, analyze_source, superpixel_bin
+from twophoton.framepipe import analyze_source, superpixel_bin
 from twophoton.optics import SpatialGrid, fourier_2f_kernel
 from twophoton.patterns import (
     coincidence_general,
@@ -163,8 +163,7 @@ def test_criterion_9_determinism_and_merge_invariance(tmp_path):
     identical_files = paths[0] == paths[1]
 
     sim = tp.build_simulator(dataclasses.replace(config, n_frames=2000), psi=0.6)
-    cfg = AnalysisConfig(camera=sim.camera)
-    accs = [analyze_source(sim, cfg, workers=w).accumulator for w in (1, 4, 16)]
+    accs = [analyze_source(sim, sim.camera, workers=w).accumulator for w in (1, 4, 16)]
     identical_acc = all(
         np.array_equal(a.matrix, accs[0].matrix)
         and np.array_equal(a.singles, accs[0].singles)

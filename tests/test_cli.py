@@ -13,7 +13,6 @@ from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
 from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv, write_frames
 from twophoton.framepipe import (
-    AnalysisConfig,
     CoincidenceAccumulator,
     _reduce_range,
     analyze_source,
@@ -155,7 +154,7 @@ class TestAnalyze:
         assert report["fit_residual"] > 0.0
         assert not {"marginal_fit_residual", "joint_fit_residual"} & report.keys()
         rec = recover_visibilities(
-            analyze_source(FrameFileReader(run / "frames.bifr"), AnalysisConfig()), PERIOD
+            analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel()), PERIOD
         )
         assert report["v12_ratio"] == rec.v12_ratio
         assert report["accidentals"] == rec.accidentals
@@ -174,12 +173,59 @@ class TestAnalyze:
         reader = FrameFileReader(run / "frames.bifr")
         want = {
             qe: recover_visibilities(
-                analyze_source(reader, AnalysisConfig(tp.CameraModel(quantum_efficiency=qe))), PERIOD
+                analyze_source(reader, tp.CameraModel(quantum_efficiency=qe)), PERIOD
             ).v12
             for qe in (0.3, 0.5)
         }
         assert want[0.3] != want[0.5]
         assert json.loads((out / "analysis.json").read_text())["v12"] == want[0.3]
+
+    def test_camera_and_period_come_from_the_sidecar(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", quantum_efficiency=0.3, wavelength=7e-7,
+                           n_frames=1500, seed=4)
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["config"]["camera"]["quantum_efficiency"] == 0.3
+        assert report["config"]["wavelength"] == 7e-7
+        rec = recover_visibilities(
+            analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel(quantum_efficiency=0.3)),
+            7e-7 * FOCAL / A,
+        )
+        assert report["v12"] == rec.v12 and report["v1m"] == rec.v1m
+
+    @pytest.mark.parametrize("key, value, kept", [("quantum_efficiency", 0.5, "wavelength"),
+                                                  ("wavelength", 8e-7, "quantum_efficiency")])
+    def test_config_that_contradicts_the_sidecar_exits_2(self, tmp_path, capsys, key, value, kept):
+        run_keys = {"quantum_efficiency": 0.3, "wavelength": 7e-7, "n_frames": 20}
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--config", write_config(tmp_path / "run.cfg", **run_keys),
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "other.cfg", **{**run_keys, key: value})
+        assert main(["analyze", str(run / "frames.bifr"), "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and kept not in err
+        assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"frame_file": "frames.bifr"}'])
+    def test_unreadable_sidecar_exits_3(self, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        assert main(["simulate", "--frames", "20", "--out", str(run)]) == 0
+        (run / "frames.json").write_text(text)
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(tmp_path / "a")]) == 3
+        assert "frames.json" in capsys.readouterr().err
+
+    def test_sidecar_of_another_file_is_ignored(self, tmp_path):
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path / "run.cfg", quantum_efficiency=0.3, n_frames=200)
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        (run / "frames.bifr").rename(run / "other.bifr")
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(run / "other.bifr"), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["config"]["camera"]["quantum_efficiency"] == 0.5
 
     def test_fits_need_no_least_squares_solver(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -198,16 +244,15 @@ class TestAnalyze:
         grid = camera.pixel_grid()
         pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
         sim = tp.FrameSimulator(pdf, camera, 200, 3.0, 12)
-        cfg = AnalysisConfig(camera=camera)
         want = CoincidenceAccumulator(camera.width)
         for frame in sim.iter_frames():
-            process_frame(frame, cfg, want)
+            process_frame(frame, camera, want)
 
         def refuse(*args, **kwargs):
             raise AssertionError("scipy.ndimage.label called")
 
         monkeypatch.setattr(scipy.ndimage, "label", refuse)
-        got = _reduce_range(sim, cfg, 0, 200)
+        got = _reduce_range(sim, camera, 0, 200)
         assert got.frames_pair > 0
         assert np.array_equal(got.matrix, want.matrix)
         assert got.class_counts() == want.class_counts()

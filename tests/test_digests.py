@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import twophoton as tp
-from twophoton.framepipe import AnalysisConfig, analyze_source
+from twophoton.framepipe import analyze_source
 
 BIFR_200 = "fd71c93648a97dbeb28568d25693f66791eafdc9fd64d4d79709c63f4ce5ab23"
 STREAM_PSI_06 = "4205914a9b641c4e4f9ee654eba18b4bcf0fbe4c8ab3020e7696f86fddb5cda0"
@@ -52,12 +52,12 @@ def test_bifr_bytes(tmp_path):
 @pytest.mark.parametrize("workers", [1, 4, 16])
 def test_criterion_9_stream(workers):
     sim = tp.build_simulator(tp.ExperimentConfig(n_frames=2000, seed=55), psi=0.6)
-    acc = analyze_source(sim, AnalysisConfig(camera=sim.camera), workers=workers).accumulator
+    acc = analyze_source(sim, sim.camera, workers=workers).accumulator
     assert accumulator_digest(acc) == STREAM_PSI_06
 
 
 def test_bright_stream_at_default_geometry():
     config = tp.ExperimentConfig(n_frames=2000, mean_pairs=3.0)
     sim = tp.build_simulator(config, tp.analytic_summary(config).psi)
-    acc = analyze_source(sim, config.analysis_config()).accumulator
+    acc = analyze_source(sim, config.camera).accumulator
     assert accumulator_digest(acc) == STREAM_BRIGHT_DEFAULT

@@ -33,6 +33,11 @@ def test_non_positive_distance_rejected(d, mode):
         tp.analytic_summary(tp.ExperimentConfig(mode=mode), d=d)
 
 
+def test_analysis_config_is_the_camera():
+    camera = CameraModel(quantum_efficiency=0.3)
+    assert tp.ExperimentConfig(camera=camera).analysis_config() is camera
+
+
 def test_closure_corrects_accidentals_with_camera_efficiency():
     config = tp.ExperimentConfig(
         n_frames=4000, seed=3, camera=CameraModel(quantum_efficiency=0.3)
@@ -51,7 +56,7 @@ def test_closure_corrects_accidentals_with_camera_efficiency():
 def test_estimator_recovers_oracle_visibilities(psi, mean_pairs, qe):
     config = tp.ExperimentConfig(mean_pairs=mean_pairs, camera=CameraModel(quantum_efficiency=qe))
     acc = expected_accumulator(config, psi, 20_000)
-    rec = tp.recover_visibilities(AnalysisResult(acc, config.analysis_config()), config.fringe_period)
+    rec = tp.recover_visibilities(AnalysisResult(acc, config.camera), config.fringe_period)
     want = tp.visibilities_from_psi(psi)
     assert rec.accidentals == pytest.approx(accidental_fraction(mean_pairs, qe), rel=1e-12)
     assert abs(rec.v1m - want.v1m) < 1e-3
@@ -73,7 +78,7 @@ def test_oracle_matches_monte_carlo_counts():
     n, k = 50_000, 8
     config = tp.ExperimentConfig(n_frames=n, mean_pairs=2.0, seed=2026)
     psi = tp.analytic_summary(config).psi
-    acc = analyze_source(tp.build_simulator(config, psi), config.analysis_config()).accumulator
+    acc = analyze_source(tp.build_simulator(config, psi), config.camera).accumulator
     oracle = expected_accumulator(config, psi, n)
     cam = config.camera
     phase = np.floor(k * np.mod(cam.pixel_grid().positions / config.fringe_period, 1.0))

@@ -11,7 +11,7 @@ from scipy import ndimage
 
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
-    AnalysisConfig,
+    RATIO,
     CoincidenceAccumulator,
     PairRecord,
     accidental_fraction,
@@ -55,21 +55,21 @@ def uniform_sim(camera, n_frames, mean_pairs, seed):
     return FrameSimulator(uniform_pdf(camera), camera, n_frames, mean_pairs, seed)
 
 
-class TestAnalysisConfig:
-    def test_defaults_match_camera(self):
-        cfg = AnalysisConfig()
-        assert [f.name for f in dataclasses.fields(cfg)] == ["camera", "min_patch", "ratio"]
-        assert cfg.camera == CameraModel()
-        assert cfg.camera.threshold_analog == int(0.2 * FULL_SCALE)
-        assert cfg.camera.strip_rows == STRIP
-        assert cfg.camera.strip_height == 32
+class TestCameraValues:
+    def test_defaults(self):
+        cam = CameraModel()
+        assert cam.threshold_analog == int(0.2 * FULL_SCALE)
+        assert cam.strip_rows == STRIP
+        assert cam.strip_height == 32
+        assert cam.min_patch == 4
+        assert RATIO == 1.0 / 3.0
 
-    def test_invalid(self):
-        # threshold and strip rows are the camera's: see test_sensor.py
-        with pytest.raises(InvalidParameterError):
-            AnalysisConfig(ratio=0.0)
-        with pytest.raises(InvalidParameterError):
-            AnalysisConfig(min_patch=0)
+    @pytest.mark.parametrize("patch_size, min_patch", [(1, 1), (3, 4), (5, 9)])
+    def test_min_patch_is_a_corner_clipped_patch(self, patch_size, min_patch):
+        cam = CameraModel(patch_size=patch_size)
+        assert cam.min_patch == min_patch
+        frame = render_frame([PhotonEvent(0, 0)], cam, np.random.default_rng(0))
+        assert np.count_nonzero(frame > cam.threshold_analog) == min_patch
 
 
 class TestThresholdAndDetect:
@@ -82,20 +82,20 @@ class TestThresholdAndDetect:
         cam = CameraModel()
         frame = render_frame([PhotonEvent(100, 200)], cam, np.random.default_rng(0))
         binary = threshold_frame(frame, cam.threshold_analog)
-        events = detect_photons(binary, frame)
+        events = detect_photons(binary, frame, cam.min_patch)
         assert len(events) == 1
         assert (events[0].row, events[0].col) == (100, 200)
 
     def test_small_patch_rejected(self):
         analog = np.zeros((8, 8), dtype=np.uint16)
         analog[2, 2] = 50_000  # an isolated dark-count-like pixel
-        assert detect_photons(threshold_frame(analog, 10_000), analog) == []
+        assert detect_photons(threshold_frame(analog, 10_000), analog, CameraModel().min_patch) == []
 
     def test_two_disjoint_patches(self):
         cam = CameraModel()
         evs = [PhotonEvent(100, 100), PhotonEvent(120, 300)]
         frame = render_frame(evs, cam, np.random.default_rng(1))
-        found = detect_photons(threshold_frame(frame, cam.threshold_analog), frame)
+        found = detect_photons(threshold_frame(frame, cam.threshold_analog), frame, cam.min_patch)
         assert sorted((e.row, e.col) for e in found) == [(100, 100), (120, 300)]
 
     def test_merged_patches_yield_one_event(self):
@@ -103,18 +103,18 @@ class TestThresholdAndDetect:
         cam = CameraModel()
         evs = [PhotonEvent(250, 100), PhotonEvent(250, 102)]
         frame = render_frame(evs, cam, np.random.default_rng(2))
-        found = detect_photons(threshold_frame(frame, cam.threshold_analog), frame)
+        found = detect_photons(threshold_frame(frame, cam.threshold_analog), frame, cam.min_patch)
         assert len(found) == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            detect_photons(np.zeros((4, 4), np.uint8), np.zeros((5, 4)))
+            detect_photons(np.zeros((4, 4), np.uint8), np.zeros((5, 4)), 1)
 
     def test_tied_peak_resolves_to_smallest_row_col(self):
         analog = np.zeros((6, 8), dtype=np.uint16)
         analog[1:5, 2:7] = 30_000
         analog[3, 2] = analog[2, 5] = analog[4, 6] = 50_000
-        (event,) = detect_photons(threshold_frame(analog, 10_000), analog)
+        (event,) = detect_photons(threshold_frame(analog, 10_000), analog, 4)
         assert (event.row, event.col, event.peak) == (2, 5, 50_000)
 
 
@@ -133,9 +133,10 @@ class TestClassifyAndFilter:
         assert cls.kind == "pair" and cls.pair is None
 
     def test_equality_rejects(self):
-        # |dr| == ratio * |dc| exactly: the strict inequality must reject
-        cls = classify_and_filter([self.e(250, 100), self.e(255, 110)], STRIP, ratio=0.5)
+        # |dr| == RATIO * |dc| exactly: the strict inequality must reject
+        cls = classify_and_filter([self.e(250, 100), self.e(251, 103)], STRIP)
         assert cls.pair is None
+        assert classify_and_filter([self.e(250, 100), self.e(251, 104)], STRIP).pair is not None
 
     def test_out_of_strip_events_dropped(self):
         cls = classify_and_filter([self.e(100, 50), self.e(250, 60)], STRIP)
@@ -190,50 +191,46 @@ class TestAccumulator:
 class TestProcessFrame:
     def test_full_pipeline_single_pair(self):
         cam = CameraModel()
-        cfg = AnalysisConfig(camera=cam)
         frame = render_frame(
             [PhotonEvent(250, 100), PhotonEvent(252, 130)], cam, np.random.default_rng(3)
         )
         acc = CoincidenceAccumulator(cam.width)
-        assert process_frame(frame, cfg, acc) == "pair"
+        assert process_frame(frame, cam, acc) == "pair"
         assert acc.matrix[100, 130] == 1
 
     def test_empty_and_single_counting(self):
         cam = CameraModel()
-        cfg = AnalysisConfig(camera=cam)
         acc = CoincidenceAccumulator(cam.width)
-        process_frame(np.zeros((512, 512), np.uint16), cfg, acc)
+        process_frame(np.zeros((512, 512), np.uint16), cam, acc)
         frame = render_frame([PhotonEvent(250, 77)], cam, np.random.default_rng(4))
-        process_frame(frame, cfg, acc)
+        process_frame(frame, cam, acc)
         assert acc.frames_empty == 1 and acc.frames_single == 1
         assert acc.singles[77] == 1
 
     def test_out_of_strip_frame_is_empty(self):
         cam = CameraModel()
-        cfg = AnalysisConfig(camera=cam)
         frame = render_frame([PhotonEvent(100, 77)], cam, np.random.default_rng(4))
         acc = CoincidenceAccumulator(cam.width)
-        assert process_frame(frame, cfg, acc) == "empty"
+        assert process_frame(frame, cam, acc) == "empty"
 
     def test_pair_straddling_strip_edge_patch(self):
         # events on the strip boundary rows are seen whole via the margin
         cam = CameraModel()
-        cfg = AnalysisConfig(camera=cam)
         frame = render_frame(
             [PhotonEvent(240, 50), PhotonEvent(271, 400)], cam, np.random.default_rng(6)
         )
         acc = CoincidenceAccumulator(cam.width)
-        assert process_frame(frame, cfg, acc) == "pair"
+        assert process_frame(frame, cam, acc) == "pair"
         assert acc.matrix[50, 400] == 1
 
 
 class TestVerticalAcceptance:
     @pytest.mark.parametrize("dc", [0, 1, 3, 4, 10, 30, 96, 200])
     def test_matches_brute_force(self, dc):
-        h, ratio = 32, 1.0 / 3.0
+        h = 32
         rows = np.arange(h)
-        ok = np.abs(rows[:, None] - rows[None, :]) < ratio * dc
-        assert vertical_acceptance(dc, h, ratio) == pytest.approx(ok.mean())
+        ok = np.abs(rows[:, None] - rows[None, :]) < RATIO * dc
+        assert vertical_acceptance(dc, h) == pytest.approx(ok.mean())
 
     def test_saturates_at_one(self):
         assert vertical_acceptance(10_000, 32) == pytest.approx(1.0)
@@ -256,8 +253,8 @@ CAM64 = CameraModel(width=64)
 def band_mask(width, patch_size):
     """The missing cells of ``corrected_counts``, those of zero acceptance,
     for a camera of this width and patch size."""
-    cfg = AnalysisConfig(camera=CameraModel(width=width, patch_size=patch_size))
-    return corrected_counts(CoincidenceAccumulator(width), cfg)[1] == 0
+    cam = CameraModel(width=width, patch_size=patch_size)
+    return corrected_counts(CoincidenceAccumulator(width), cam)[1] == 0
 
 
 class TestEstimate:
@@ -274,17 +271,16 @@ class TestEstimate:
         assert not band[0, 4]
 
     def test_corrected_counts_scale(self):
-        cfg = AnalysisConfig(camera=CAM64)
         acc = self.make_acc([(10, 40)])
-        counts, acceptance = corrected_counts(acc, cfg)
-        a = vertical_acceptance(30, cfg.camera.strip_height, cfg.ratio)
+        counts, acceptance = corrected_counts(acc, CAM64)
+        a = vertical_acceptance(30, CAM64.strip_height)
         assert acceptance[10, 40] == acceptance[40, 10] == a
         assert counts[10, 40] == pytest.approx(1 / a)
         # one raw count: the corrected count's Poisson variance is 1 / a^2
         assert counts[10, 40] / acceptance[10, 40] == pytest.approx(1 / a**2)
         idx = np.arange(64)
         dc = np.abs(np.subtract.outer(idx, idx))
-        want = np.where(dc <= cfg.camera.patch_size, 0.0, vertical_acceptance(dc, cfg.camera.strip_height, cfg.ratio))
+        want = np.where(dc <= CAM64.patch_size, 0.0, vertical_acceptance(dc, CAM64.strip_height))
         assert np.array_equal(acceptance, want)
         assert counts[10, 10] == 0.0  # diagonal is in the missing band
         assert acceptance[10, 10] == 0.0
@@ -293,8 +289,7 @@ class TestEstimate:
         # (28, 33) sits next to the missing band, so nearby band cells
         # interpolate to a positive value
         acc = self.make_acc([(10, 40), (12, 50), (28, 33)])
-        cfg = AnalysisConfig(camera=CAM64)
-        est = finalize(acc, cfg)
+        est = finalize(acc, CAM64)
         assert est.values.shape == (64, 64)
         assert np.allclose(est.values, est.values.T)
         assert est.total() == pytest.approx(1.0)
@@ -304,14 +299,14 @@ class TestEstimate:
 
     def test_finalize_empty(self):
         with pytest.raises(EmptyEstimateError):
-            finalize(self.make_acc([]), AnalysisConfig(camera=CAM64))
+            finalize(self.make_acc([]), CAM64)
 
     def test_finalize_rejects_other_width(self):
         acc = self.make_acc([(10, 40)])
         with pytest.raises(InvalidParameterError):
-            finalize(acc, AnalysisConfig())
+            finalize(acc, CameraModel())
         with pytest.raises(InvalidParameterError):
-            corrected_counts(acc, AnalysisConfig(camera=CameraModel(width=65)))
+            corrected_counts(acc, CameraModel(width=65))
 
     def test_superpixel_bin(self):
         m = np.ones((8, 8))
@@ -424,15 +419,14 @@ class TestMarginalConsistency:
         width = 64
         acc = CoincidenceAccumulator(width)
         acc.frames_total = 50_000
-        cfg = AnalysisConfig(camera=CAM64)
-        a = vertical_acceptance(np.arange(width), cfg.camera.strip_height, cfg.ratio)
+        a = vertical_acceptance(np.arange(width), CAM64.strip_height)
         for _ in range(8000):
             i, j = sorted(rng.choice(width, 2, replace=False))
-            if j - i <= cfg.camera.patch_size or rng.random() > a[j - i]:
+            if j - i <= CAM64.patch_size or rng.random() > a[j - i]:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
-        r = marginal_consistency(acc, cfg, factor=4)
+        r = marginal_consistency(acc, CAM64, factor=4)
         assert r.pvalue > 0.01
 
     def test_inconsistent_detected(self):
@@ -446,7 +440,7 @@ class TestMarginalConsistency:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
-        r = marginal_consistency(acc, AnalysisConfig(camera=CAM64), factor=4)
+        r = marginal_consistency(acc, CAM64, factor=4)
         assert r.pvalue < 1e-6
 
 
@@ -505,8 +499,7 @@ class TestAnalyzeSource:
 
     def test_worker_invariance(self):
         sim = self.make_sim()
-        cfg = AnalysisConfig(camera=sim.camera)
-        results = [analyze_source(sim, cfg, workers=w) for w in (1, 3, 4)]
+        results = [analyze_source(sim, sim.camera, workers=w) for w in (1, 3, 4)]
         base = results[0].accumulator
         for r in results[1:]:
             assert np.array_equal(r.accumulator.matrix, base.matrix)
@@ -515,7 +508,7 @@ class TestAnalyzeSource:
 
     def test_counters_cover_all_frames(self):
         sim = self.make_sim()
-        res = analyze_source(sim, AnalysisConfig(camera=sim.camera))
+        res = analyze_source(sim, sim.camera)
         acc = res.accumulator
         assert acc.frames_total == 400
         assert sum(acc.class_counts().values()) == acc.frames_total
@@ -534,30 +527,29 @@ class TestAnalyzeSource:
             def strip_block(self, lo, hi, rows):
                 return np.stack([sim.frame(k) for k in range(lo, hi)])[:, rows[0] : rows[1]]
 
-        cfg = AnalysisConfig(camera=sim.camera)
-        a = analyze_source(sim, cfg).accumulator
-        b = analyze_source(NoFastPath(), cfg).accumulator
+        a = analyze_source(sim, sim.camera).accumulator
+        b = analyze_source(NoFastPath(), sim.camera).accumulator
         assert np.array_equal(a.matrix, b.matrix)
         assert a.class_counts() == b.class_counts()
 
     def test_empty_source_rejected(self):
         sim = self.make_sim(n_frames=0)
         with pytest.raises(EmptyEstimateError):
-            analyze_source(sim, AnalysisConfig())
+            analyze_source(sim, sim.camera)
 
     def test_invalid_workers(self):
         with pytest.raises(InvalidParameterError):
-            analyze_source(self.make_sim(), AnalysisConfig(), workers=0)
+            analyze_source(self.make_sim(), CameraModel(), workers=0)
 
     @pytest.mark.parametrize("shape", [(512, 256), (256, 512)])
     def test_source_shape_must_match_camera(self, shape):
         sim = self.make_sim(n_frames=10)
         frames = FrameList([np.zeros(shape, np.uint16)] * 10)
         with pytest.raises(InvalidParameterError):
-            analyze_source(frames, AnalysisConfig(camera=sim.camera))
+            analyze_source(frames, sim.camera)
         small = CameraModel(height=shape[0], width=shape[1], strip_rows=(100, 131))
         with pytest.raises(InvalidParameterError):
-            analyze_source(sim, AnalysisConfig(camera=small))
+            analyze_source(sim, small)
 
 
 def accumulator_key(acc):
@@ -566,10 +558,10 @@ def accumulator_key(acc):
     return counters, acc.matrix.tobytes(), acc.singles.tobytes()
 
 
-def per_frame_reference(frames, cfg, width):
-    acc = CoincidenceAccumulator(width)
+def per_frame_reference(frames, cam):
+    acc = CoincidenceAccumulator(cam.width)
     for frame in frames:
-        process_frame(frame, cfg, acc)
+        process_frame(frame, cam, acc)
     return acc
 
 
@@ -589,6 +581,8 @@ class FrameList:
 
 SMALL_CAM = CameraModel(width=16, height=12, strip_rows=(3, 7))
 T = SMALL_CAM.threshold_analog
+# one-pixel photons: a single lit pixel is a patch
+PIXEL_CAM = dataclasses.replace(SMALL_CAM, patch_size=1)
 # the strip covers the whole frame, so every patch's event is kept
 OPEN_CAM = CameraModel(width=16, height=12, strip_rows=(0, 11))
 
@@ -615,37 +609,39 @@ def first_maxima():
     return frames
 
 
-# (frames, camera, min_patch, expected (frame, row, col) events)
+# (frames, camera, expected (frame, row, col) events)
 EDGE_CASES = {
     "row end and next row start stay apart": (
-        lit(SMALL_CAM, 1, [(0, 4, 15), (0, 5, 0)]), SMALL_CAM, 1, [(0, 4, 15), (0, 5, 0)],
+        lit(PIXEL_CAM, 1, [(0, 4, 15), (0, 5, 0)]), PIXEL_CAM, [(0, 4, 15), (0, 5, 0)],
     ),
     "row start and the same row's end stay apart": (
-        lit(SMALL_CAM, 1, [(0, 4, 0), (0, 4, 15)]), SMALL_CAM, 1, [(0, 4, 0), (0, 4, 15)],
+        lit(PIXEL_CAM, 1, [(0, 4, 0), (0, 4, 15)]), PIXEL_CAM, [(0, 4, 0), (0, 4, 15)],
     ),
+    # patches of 5 and 4 pixels: each is kept, and one patch of both would
+    # give a single event
     "last window row and next frame's first stay apart": (
-        chain_over_frame_boundary(), SMALL_CAM, 1, [(0, 5, 5), (1, 4, 5)],
+        chain_over_frame_boundary(), SMALL_CAM, [(0, 5, 5), (1, 4, 5)],
     ),
+    # single pixels are rejected, so the event needs the whole chain
     "chain of (+1, -1) diagonals is one patch": (
-        lit(SMALL_CAM, 1, [(0, 3 + k, 8 - k) for k in range(5)]), SMALL_CAM, 5, [(0, 3, 8)],
+        lit(SMALL_CAM, 1, [(0, 3 + k, 8 - k) for k in range(5)]), SMALL_CAM, [(0, 3, 8)],
     ),
     "fully lit block gives one event per frame at the first maximum": (
-        first_maxima(), OPEN_CAM, 4, [(0, 7, 3), (1, 2, 14), (2, 0, 0)],
+        first_maxima(), OPEN_CAM, [(0, 7, 3), (1, 2, 14), (2, 0, 0)],
     ),
     "pixels at the threshold are not lit": (
-        np.full((4, 12, 16), T, np.uint16), OPEN_CAM, 1, [],
+        np.full((4, 12, 16), T, np.uint16), dataclasses.replace(OPEN_CAM, patch_size=1), [],
     ),
 }
 
 
-def reference_events(frames, cfg):
+def reference_events(frames, cam):
     """In-strip (frame, row, col) events of ``detect_photons`` frame by frame."""
-    cam = cfg.camera
     v0, v1 = _strip_window(cam)
     out = []
     for k, frame in enumerate(frames):
         view = frame[v0:v1]
-        for e in detect_photons(threshold_frame(view, cam.threshold_analog), view, cfg.min_patch):
+        for e in detect_photons(threshold_frame(view, cam.threshold_analog), view, cam.min_patch):
             if cam.strip_rows[0] <= e.row + v0 <= cam.strip_rows[1]:
                 out.append((k, e.row + v0, e.col))
     return sorted(out)
@@ -655,39 +651,43 @@ class TestBlockReduction:
     @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
         sim = uniform_sim(CameraModel(), 300, mean_pairs, seed=21)
-        cfg = AnalysisConfig(camera=sim.camera)
-        want = accumulator_key(per_frame_reference(sim.iter_frames(), cfg, sim.camera.width))
+        want = accumulator_key(per_frame_reference(sim.iter_frames(), sim.camera))
         for block in (1, 7, 64, 256):
-            assert accumulator_key(_reduce_range(sim, cfg, 0, 300, block)) == want
+            assert accumulator_key(_reduce_range(sim, sim.camera, 0, 300, block)) == want
 
     def test_subrange(self):
         sim = uniform_sim(CameraModel(), 120, 2.0, seed=22)
-        cfg = AnalysisConfig(camera=sim.camera)
         frames = [sim.frame(k) for k in range(37, 101)]
-        got = _reduce_range(sim, cfg, 37, 101, 16)
-        assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, cfg, 512))
+        got = _reduce_range(sim, sim.camera, 37, 101, 16)
+        assert accumulator_key(got) == accumulator_key(per_frame_reference(frames, sim.camera))
+
+    def test_one_pixel_photons_are_detected(self):
+        # a patch_size 1 camera registers each photon as one lit pixel,
+        # which its min_patch of 1 keeps
+        sim = uniform_sim(CameraModel(patch_size=1, dark_rate=0.0), 300, 1.0, seed=24)
+        got = analyze_source(sim, sim.camera).accumulator
+        assert accumulator_key(got) == accumulator_key(per_frame_reference(sim.iter_frames(), sim.camera))
+        assert got.pairs_accepted > 0
 
     @pytest.mark.parametrize("case", EDGE_CASES)
     def test_labelling_edge_cases(self, case):
-        frames, cam, min_patch, want = EDGE_CASES[case]
-        cfg = AnalysisConfig(camera=cam, min_patch=min_patch)
+        frames, cam, want = EDGE_CASES[case]
         v0, v1 = _strip_window(cam)
-        got = list(zip(*(a.tolist() for a in _block_events(frames[:, v0:v1], v0, cfg))))
-        assert got == reference_events(frames, cfg) == want
-        block = _reduce_range(FrameList(list(frames)), cfg, 0, len(frames), len(frames))
-        assert accumulator_key(block) == accumulator_key(per_frame_reference(frames, cfg, cam.width))
+        got = list(zip(*(a.tolist() for a in _block_events(frames[:, v0:v1], v0, cam))))
+        assert got == reference_events(frames, cam) == want
+        block = _reduce_range(FrameList(list(frames)), cam, 0, len(frames), len(frames))
+        assert accumulator_key(block) == accumulator_key(per_frame_reference(frames, cam))
 
     def test_blank_blocks_count_as_empty(self):
         sim = uniform_sim(CameraModel(dark_rate=0.0), 100, 0.0, seed=23)
-        cfg = AnalysisConfig(camera=sim.camera)
-        acc = _reduce_range(sim, cfg, 0, 100, 16)
+        acc = _reduce_range(sim, sim.camera, 0, 100, 16)
         assert acc.frames_total == acc.frames_empty == 100
         assert acc.matrix.sum() == acc.singles.sum() == 0
 
     # few levels around the threshold make tied peaks, merged patches, dark
-    # single pixels and components at the min_patch boundary common; at width
-    # 2 a step right and a step down-left are the same flat step, and only
-    # the column masks keep them apart
+    # single pixels and components at the min_patch boundary (1, 4 or 9
+    # pixels) common; at width 2 a step right and a step down-left are the
+    # same flat step, and only the column masks keep them apart
     @given(
         strips=st.sampled_from([2, 3, 16]).flatmap(
             lambda width: arrays(
@@ -697,17 +697,15 @@ class TestBlockReduction:
                 fill=st.nothing(),
             )
         ),
-        min_patch=st.integers(1, 6),
-        ratio=st.sampled_from([1.0 / 3.0, 0.5, 1.0, 4.0]),
+        patch_size=st.sampled_from([1, 3, 5]),
         block=st.integers(1, 13),
     )
     @settings(max_examples=300, deadline=None)
-    def test_random_strips_match_process_frame(self, strips, min_patch, ratio, block):
-        # the window is rows 1..9 of 12: patches cross both the strip edge
-        # (rows 3 and 7) and the window edge
+    def test_random_strips_match_process_frame(self, strips, patch_size, block):
+        # the window is rows 3..7, 1..9 or 0..11 of 12 as the patch grows:
+        # patches cross the strip edge (rows 3 and 7) and the window edge
         width = strips.shape[2]
-        cam = dataclasses.replace(SMALL_CAM, width=width)
-        cfg = AnalysisConfig(camera=cam, min_patch=min_patch, ratio=ratio)
-        got = _reduce_range(FrameList(list(strips)), cfg, 0, len(strips), block)
-        want = per_frame_reference(strips, cfg, width)
+        cam = dataclasses.replace(SMALL_CAM, width=width, patch_size=patch_size)
+        got = _reduce_range(FrameList(list(strips)), cam, 0, len(strips), block)
+        want = per_frame_reference(strips, cam)
         assert accumulator_key(got) == accumulator_key(want)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twophoton as tp
+from oracle import coincidence_expanded, excess_product
 from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import AliasingWarning, CompositionError, InvalidParameterError
 from twophoton.optics import SlitPair, SpatialGrid, fourier_2f_kernel
@@ -66,10 +67,9 @@ class TestCoincidencePattern:
 
     def test_modulus_and_expanded_forms_agree(self):
         grid = fine_grid()
-        for psi in (0.0, 0.3, -0.8, 1.0, 2.5):
-            m = coincidence_pattern(psi, PERIOD, grid, form="modulus")
-            e = coincidence_pattern(psi, PERIOD, grid, form="expanded")
-            assert reldiff(m.values, e.values) < 1e-12
+        for psi in (0.0, 0.3, -0.8, 1.0, 2.5, 0.5 * np.exp(0.3j)):
+            m = coincidence_pattern(psi, PERIOD, grid)
+            assert reldiff(m.values, coincidence_expanded(psi, PERIOD, grid)) < 1e-12
 
     def test_reciprocal_psi_swaps_fringe_roles(self):
         # the pattern at 1/psi is the pattern at psi reflected in one
@@ -152,9 +152,8 @@ class TestMarginalAndExcess:
     def test_excess_forms_agree(self):
         grid = fine_grid()
         for v12 in (0.0, 0.3, 0.9):
-            a = excess_closed_form(v12, PERIOD, grid, form="sumdiff")
-            b = excess_closed_form(v12, PERIOD, grid, form="product")
-            assert reldiff(a.values, b.values) < 1e-12
+            a = excess_closed_form(v12, PERIOD, grid)
+            assert reldiff(a.values, excess_product(v12, PERIOD, grid)) < 1e-12
 
     def test_excess_of_closed_form_matches_closed_form(self):
         psi = 0.5
