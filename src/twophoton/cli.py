@@ -47,19 +47,9 @@ from .patterns import excess_pattern, marginal_pattern
 from .sensor import CameraModel
 from .visibility import fit_fringe_visibility, fit_joint_visibility
 
-# configuration keys settable from a key=value file or flags
-_CONFIG_FLOATS = (
-    "pump_width",
-    "distance",
-    "slit_separation",
-    "slit_width",
-    "wavelength",
-    "focal_length",
-    "mean_pairs",
-)
-_CONFIG_INTS = ("pump_grid_n", "n_frames", "seed")
-_CONFIG_STRS = ("mode", "pump_shape")
-_CAMERA_FLOATS = ("quantum_efficiency", "threshold", "dark_rate", "pitch")
+# configuration keys settable from a key=value file or flags: every
+# ExperimentConfig field but the camera, plus these camera fields
+_CAMERA_KEYS = ("quantum_efficiency", "threshold", "dark_rate", "pitch")
 _FRINGE_KEYS = ("wavelength", "focal_length", "slit_separation")
 
 
@@ -94,24 +84,20 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         # sweep repeats --d; its configuration carries the first distance
         raw["distance"] = str(d[0] if isinstance(d, list) else d)
 
-    fields: dict[str, object] = {}
-    camera_fields: dict[str, object] = {}
+    run: dict[str, object] = {}
+    camera: dict[str, object] = {}
+    # each key's value is parsed with the type of its field's default
+    schema = {f.name: (run, f.default) for f in dataclasses.fields(ExperimentConfig) if f.name != "camera"}
+    schema.update({f.name: (camera, f.default) for f in dataclasses.fields(CameraModel) if f.name in _CAMERA_KEYS})
     for key, value in raw.items():
+        if key not in schema:
+            raise InvalidParameterError(f"unknown config key {key!r}")
+        target, default = schema[key]
         try:
-            if key in _CONFIG_FLOATS:
-                fields[key] = float(value)
-            elif key in _CONFIG_INTS:
-                fields[key] = int(value)
-            elif key in _CONFIG_STRS:
-                fields[key] = value
-            elif key in _CAMERA_FLOATS:
-                camera_fields[key] = float(value)
-            else:
-                raise InvalidParameterError(f"unknown config key {key!r}")
+            target[key] = type(default)(value)
         except ValueError as exc:
             raise InvalidParameterError(f"bad value for {key!r}: {value!r}") from exc
-    camera = CameraModel(**camera_fields) if camera_fields else CameraModel()
-    return ExperimentConfig(camera=camera, **fields)
+    return ExperimentConfig(camera=CameraModel(**camera), **run)
 
 
 def _out_dir(args) -> Path:
@@ -181,9 +167,9 @@ def cmd_simulate(args) -> int:
 
 
 def _analyze_config(args) -> ExperimentConfig:
-    """The configuration, with the camera and fringe-period keys of the run
-    in the ``frames.json`` that names the frame file, which ``--config`` may
-    not change."""
+    """The run recorded in the ``frames.json`` that names the frame file, or
+    the configuration when none does.  ``--config`` may not change the
+    recorded camera or fringe period, the values the analysis reads."""
     config = build_config(args)
     path = Path(args.frames_file)
     sidecar = path.parent / "frames.json"
@@ -191,12 +177,15 @@ def _analyze_config(args) -> ExperimentConfig:
         meta = json.loads(sidecar.read_text()) if sidecar.is_file() else {}
         if meta.get("frame_file") != path.name:
             return config
-        camera = {k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"]["camera"].items()}
-        fringe = {k: float(meta["config"][k]) for k in _FRINGE_KEYS}
-        recorded = dataclasses.replace(config, camera=CameraModel(**camera), **fringe)
+        # every field is read, so a record that lacks one is unreadable
+        run = meta["config"]
+        camera = {f.name: run["camera"][f.name] for f in dataclasses.fields(CameraModel)}
+        camera = {k: tuple(v) if isinstance(v, list) else v for k, v in camera.items()}
+        fields = {f.name: run[f.name] for f in dataclasses.fields(ExperimentConfig) if f.name != "camera"}
+        recorded = ExperimentConfig(camera=CameraModel(**camera), **fields)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FrameFormatError(f"cannot read {sidecar}: {exc!r}") from exc
-    differ = [k for k, v in fringe.items() if getattr(config, k) != v]
+    differ = [k for k in _FRINGE_KEYS if getattr(config, k) != getattr(recorded, k)]
     differ += [k for k, v in camera.items() if getattr(config.camera, k) != v]
     if args.config and differ:
         raise InvalidParameterError(f"--config differs from the run recorded in {sidecar} on {differ}")

@@ -43,6 +43,8 @@ from .visibility import (
 )
 
 MODES = ("fresnel", "fourier-2f")
+# each names the PumpProfile constructor that samples it
+PUMP_SHAPES = ("uniform", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class ExperimentConfig:
             raise InvalidParameterError("slit_width must be non-negative")
         if self.mode not in MODES:
             raise InvalidParameterError(f"mode must be one of {MODES}")
+        if self.pump_shape not in PUMP_SHAPES:
+            raise InvalidParameterError(f"pump_shape must be one of {PUMP_SHAPES}")
         if self.n_frames < 0 or self.mean_pairs < 0:
             raise InvalidParameterError("n_frames and mean_pairs must be >= 0")
 
@@ -88,44 +92,32 @@ class ExperimentConfig:
         return self.wavelength * self.focal_length / self.slit_separation
 
     def pump(self) -> PumpProfile:
-        if self.pump_shape == "uniform":
-            return PumpProfile.uniform(self.pump_width, self.pump_grid_n)
-        if self.pump_shape == "gaussian":
-            return PumpProfile.gaussian(self.pump_width, self.pump_grid_n)
-        raise InvalidParameterError(f"unknown pump shape {self.pump_shape!r}")
+        return getattr(PumpProfile, self.pump_shape)(self.pump_width, self.pump_grid_n)
 
     def slits(self) -> SlitPair:
         return SlitPair(self.slit_separation, self.slit_width)
 
-    def illumination_kernel(self, grid: SpatialGrid, d: float | None = None) -> LinearKernel:
+    def illumination_kernel(self, grid: SpatialGrid) -> LinearKernel:
         """Sampled source-to-slit kernel from the pump grid onto ``grid``.
 
         The grid route that ``correlations`` replaces with closed-form slit
         rows; kept as the oracle those rows are tested against.
         """
-        d = self._distance(d)
         pump_grid = self.pump().grid
         if self.mode == "fourier-2f":
             return fourier_2f_kernel(pump_grid, grid, self.wavelength, self.focal_length)
-        return fresnel_kernel(pump_grid, grid, self.wavelength, d)
+        return fresnel_kernel(pump_grid, grid, self.wavelength, self.distance)
 
-    def correlations(self, d: float | None = None) -> ApertureCorrelations:
+    def correlations(self) -> ApertureCorrelations:
         """Slit-plane correlations, from the closed-form slit-averaged rows."""
-        d = self._distance(d)
         pump, slits = self.pump(), self.slits()
         if self.mode == "fourier-2f":
             rows = slit_averaged_rows(
                 pump.grid, slits, self.wavelength, focal_length=self.focal_length
             )
         else:
-            rows = slit_averaged_rows(pump.grid, slits, self.wavelength, distance=d)
+            rows = slit_averaged_rows(pump.grid, slits, self.wavelength, distance=self.distance)
         return ApertureCorrelations.from_pump(pump, *rows)
-
-    def _distance(self, d: float | None) -> float:
-        d = self.distance if d is None else d
-        if d <= 0:
-            raise InvalidParameterError("source-slit distance must be positive")
-        return d
 
     def analysis_config(self) -> CameraModel:
         """The camera; kept only for the benchmark harness until its trace hooks go."""
@@ -141,8 +133,10 @@ class AnalyticSummary:
     visibilities: VisibilitySet
 
 
-def analytic_summary(config: ExperimentConfig, d: float | None = None) -> AnalyticSummary:
-    corr = config.correlations(d)
+def analytic_summary(config: ExperimentConfig) -> AnalyticSummary:
+    """psi, g1 and the visibilities of ``config``'s geometry; vary the
+    distance with ``dataclasses.replace(config, distance=...)``."""
+    corr = config.correlations()
     psi = corr.psi_effective
     return AnalyticSummary(psi, real_psi(corr.g1), visibilities_from_psi(psi))
 
@@ -257,17 +251,16 @@ def sweep(
     distances: list[float],
     monte_carlo: bool = False,
 ) -> list[SweepPoint]:
-    """Analytic (and optionally Monte Carlo) visibilities versus distance."""
+    """Analytic (and optionally Monte Carlo) visibilities versus distance.
+    Point i is ``config`` at ``distances[i]`` and seed ``config.seed + i``."""
     points = []
     for i, d in enumerate(distances):
-        if d <= 0:
-            raise InvalidParameterError("distances must be positive")
-        summary = analytic_summary(config, d)
+        point = replace(config, distance=d, seed=config.seed + i)
+        summary = analytic_summary(point)
         v = summary.visibilities
         mc_v1m = mc_v12 = None
         if monte_carlo:
-            run_cfg = replace(config, distance=d, seed=config.seed + i)
-            closure = run_closure(run_cfg, psi=summary.psi)
+            closure = run_closure(point, psi=summary.psi)
             mc_v1m, mc_v12 = closure.recovered.v1m, closure.recovered.v12
         points.append(SweepPoint(d, summary.psi, v.v1, v.v1m, v.v12, mc_v1m, mc_v12))
     return points

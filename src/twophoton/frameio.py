@@ -15,6 +15,8 @@ BIFR layout, all multi-byte fields little-endian:
 
 from __future__ import annotations
 
+import errno
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FrameFormatError
+from .errors import FrameFormatError, InvalidParameterError
 
 MAGIC = b"BIFR"
 VERSION = 1
@@ -35,11 +37,17 @@ class FrameFileHeader:
     width: int
     height: int
     frame_count: int
-    bits_per_pixel: int = 16
+
+    def __post_init__(self):
+        # the header's u16 width and height and u32 count bound what it describes
+        try:
+            self.pack()
+        except struct.error as exc:
+            raise InvalidParameterError(f"{self} does not fit the frame-file header: {exc}") from exc
 
     @property
     def frame_bytes(self) -> int:
-        return self.width * self.height * (self.bits_per_pixel // 8)
+        return self.width * self.height * 2
 
     def pack(self) -> bytes:
         return struct.pack(
@@ -49,7 +57,7 @@ class FrameFileHeader:
             self.width,
             self.height,
             self.frame_count,
-            self.bits_per_pixel,
+            16,
             b"\x00" * 7,
         )
 
@@ -65,7 +73,7 @@ def read_header(f) -> FrameFileHeader:
         raise FrameFormatError(f"unsupported format version {version}", offset=4)
     if bpp != 16:
         raise FrameFormatError(f"unsupported bits-per-pixel {bpp}", offset=13)
-    return FrameFileHeader(width, height, count, bpp)
+    return FrameFileHeader(width, height, count)
 
 
 def write_frames(
@@ -75,8 +83,14 @@ def write_frames(
     frames: Iterable[np.ndarray],
     frame_count: int,
 ) -> None:
-    """Write a BIFR file, streaming frames in index order."""
+    """Write a BIFR file, streaming frames in index order.  Raises ENOSPC before
+    opening it when its directory, counting a file it replaces, lacks room."""
     header = FrameFileHeader(width, height, frame_count)
+    path = Path(path)
+    need = HEADER_SIZE + frame_count * header.frame_bytes
+    free = shutil.disk_usage(path.parent).free + (path.stat().st_size if path.is_file() else 0)
+    if need > free:
+        raise OSError(errno.ENOSPC, f"the frame file needs {need} bytes, {free} free", str(path))
     written = 0
     with open(path, "wb") as f:
         f.write(header.pack())
@@ -142,7 +156,7 @@ class FrameFileReader:
         if not (0 <= lo <= hi <= h.frame_count and 0 <= v0 <= v1 <= h.height):
             raise IndexError((lo, hi, rows))
         block = np.empty((hi - lo, v1 - v0, h.width), dtype="<u2")
-        row_bytes = h.width * (h.bits_per_pixel // 8)
+        row_bytes = h.width * 2
         with open(self.path, "rb") as f:
             for out, k in zip(block, range(lo, hi)):
                 start = HEADER_SIZE + k * h.frame_bytes + v0 * row_bytes

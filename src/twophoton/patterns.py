@@ -46,29 +46,26 @@ def _check_period(grid: SpatialGrid, period: float):
 
 @dataclass(frozen=True)
 class FringePattern1D:
-    """Real-valued 1-D pattern on a detector grid."""
+    """Real-valued 1-D pattern on a detector grid; the fringe period is the
+    caller's, passed to each function that needs it."""
 
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
-    period: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values)
         if v.shape != (self.grid.n,):
             raise InvalidParameterError("pattern length must match the grid")
 
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.grid.spacing)
-
 
 @dataclass(frozen=True)
 class JointPattern2D:
-    """Real-valued pattern over pairs of detector positions (shared grid)."""
+    """Real-valued pattern over pairs of detector positions (shared grid);
+    like ``FringePattern1D`` it carries no fringe period."""
 
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
     kind: str = "coincidence"
-    period: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -101,7 +98,7 @@ def single_photon_pattern(
         raise InvalidParameterError(f"|g1| must be <= 1, got {g1}")
     _check_period(grid, period)
     v = 1.0 + g1 * np.cos(2 * np.pi * grid.positions / period)
-    return FringePattern1D(grid, v / v.mean(), period)
+    return FringePattern1D(grid, v / v.mean())
 
 
 def intensity_general(
@@ -183,7 +180,7 @@ def coincidence_pattern(psi: complex, period: float, grid: SpatialGrid) -> Joint
         np.abs(v, out=v)
         np.square(v, out=v)
     v = _normalized(v, grid.spacing)
-    return JointPattern2D(grid, v, "coincidence", period=period)
+    return JointPattern2D(grid, v, "coincidence")
 
 
 def marginal_pattern(g2: JointPattern2D) -> FringePattern1D:
@@ -191,18 +188,16 @@ def marginal_pattern(g2: JointPattern2D) -> FringePattern1D:
     if g2.kind != "coincidence":
         raise InvalidParameterError("marginal is defined for coincidence patterns")
     m = g2.values.sum(axis=1) * g2.grid.spacing
-    return FringePattern1D(g2.grid, m, g2.period)
+    return FringePattern1D(g2.grid, m)
 
 
-def _roi_slice(grid: SpatialGrid, period: float | None) -> slice:
+def _roi_slice(grid: SpatialGrid, period: float) -> slice:
     """Symmetric region holding an integer number of fringe periods.
 
     The grid's positions are sorted, so the region is a contiguous slice of
-    them.  Falls back to the full grid when no period is known, the grid
-    spans less than one period, or no grid point lies inside the region.
+    them.  Falls back to the full grid when the grid spans less than one
+    period or no grid point lies inside the region.
     """
-    if period is None:
-        return slice(None)
     n_per = int(np.floor(grid.extent / period))
     if n_per < 1:
         return slice(None)
@@ -217,18 +212,17 @@ def _roi_slice(grid: SpatialGrid, period: float | None) -> slice:
 def excess_pattern(
     g2: JointPattern2D,
     marginal: FringePattern1D,
-    period: float | None = None,
+    period: float,
 ) -> JointPattern2D:
     """Excess coincidence pattern dG2 = G2 - Im(x')Im(x'') + A.
 
     A is chosen so the result unit-sums over the region of interest: the
-    central region trimmed to an integer number of fringe periods (the full
-    grid when no period is known).  The region is a square block of cells,
-    so the marginal product's sum over it is the square of a 1-D sum.
+    central region trimmed to an integer number of fringe periods, with the
+    ``period`` the caller passes.  The region is a square block of cells, so
+    the marginal product's sum over it is the square of a 1-D sum.
     """
     if marginal.grid != g2.grid:
         raise CompositionError("marginal grid differs from the joint-pattern grid")
-    period = period if period is not None else g2.period
     m = marginal.values
     roi = _roi_slice(g2.grid, period)
     cell = g2.cell_area()
@@ -237,7 +231,7 @@ def excess_pattern(
     v = -m[:, None] * m
     v += g2.values
     v += a
-    return JointPattern2D(g2.grid, v, "excess", period=period)
+    return JointPattern2D(g2.grid, v, "excess")
 
 
 def excess_closed_form(v12: float, period: float, grid: SpatialGrid) -> JointPattern2D:
@@ -257,5 +251,5 @@ def excess_closed_form(v12: float, period: float, grid: SpatialGrid) -> JointPat
     cell = grid.spacing ** 2
     block = v[roi, roi]
     offset = (1.0 - block.sum() * cell) / (block.size * cell)
-    return JointPattern2D(grid, v + offset, "excess", period=period)
+    return JointPattern2D(grid, v + offset, "excess")
 

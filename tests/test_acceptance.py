@@ -113,18 +113,16 @@ def test_criterion_6_marginal_consistency(full_scale_consistency):
 def test_criterion_7_far_and_near_field():
     config = tp.ExperimentConfig()
 
-    far = tp.analytic_summary(config, d=0.87)
-    pats = tp.analytic_patterns(
-        dataclasses.replace(config, distance=0.87), psi=far.psi, g1=far.g1
-    )
+    far_config = dataclasses.replace(config, distance=0.87)
+    far = tp.analytic_summary(far_config)
+    pats = tp.analytic_patterns(far_config, psi=far.psi, g1=far.g1)
     fit_far = fit_joint_visibility(pats["excess"], config.fringe_period)
     binned = superpixel_bin(pats["excess"].values, 4)
     flatness = (binned.max() - binned.min()) / binned.mean()
 
-    near = tp.analytic_summary(config, d=0.063)
-    pats_near = tp.analytic_patterns(
-        dataclasses.replace(config, distance=0.063), psi=near.psi, g1=near.g1
-    )
+    near_config = dataclasses.replace(config, distance=0.063)
+    near = tp.analytic_summary(near_config)
+    pats_near = tp.analytic_patterns(near_config, psi=near.psi, g1=near.g1)
     fit_near = fit_joint_visibility(pats_near["excess"], config.fringe_period)
     ratio = abs(fit_near.amp_sum) / max(abs(fit_near.amp_diff), 1e-30)
 

@@ -1,13 +1,20 @@
 """End-to-end command-line interface tests."""
 
+import argparse
+import dataclasses
+import errno
 import hashlib
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.ndimage
 
 import twophoton as tp
+from twophoton import cli, frameio
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
@@ -53,6 +60,18 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "c.cfg", seed="not-an-int")
         assert main(["pattern", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_readme_lists_the_accepted_keys(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        run_keys = [f.name for f in dataclasses.fields(tp.ExperimentConfig) if f.name != "camera"]
+        assert sorted(listed) == sorted(run_keys + list(cli._CAMERA_KEYS))
+        # every listed key is accepted, and parses its default to the default
+        default = tp.ExperimentConfig()
+        values = {k: getattr(default.camera if k in cli._CAMERA_KEYS else default, k) for k in listed}
+        args = argparse.Namespace(config=write_config(tmp_path / "all.cfg", **values))
+        assert cli.build_config(args) == default
+
 
 class TestPattern:
     def run_pattern(self, tmp_path, capsys, **kv):
@@ -90,13 +109,13 @@ class TestPattern:
 
         x, v = read_pattern_csv(out / "marginal.csv")
         grid = SpatialGrid(x[0], x[-1], len(x))
-        mfit = fit_fringe_visibility(FringePattern1D(grid, v, PERIOD), PERIOD)
+        mfit = fit_fringe_visibility(FringePattern1D(grid, v), PERIOD)
         assert mfit.visibility == pytest.approx(meta["v1m_fit"], abs=1e-9)
 
         data = np.loadtxt(out / "excess.csv", delimiter=",", skiprows=1)
         n = int(round(np.sqrt(data.shape[0])))
         values = data[:, 2].reshape(n, n)
-        excess = JointPattern2D(grid, values, "excess", period=PERIOD)
+        excess = JointPattern2D(grid, values, "excess")
         jfit = fit_joint_visibility(excess, PERIOD)
         assert jfit.v12 == pytest.approx(meta["v12_fit"], abs=1e-9)
 
@@ -137,6 +156,19 @@ class TestSimulate:
             digests.append(hashlib.sha256((out / "frames.bifr").read_bytes()).hexdigest())
         assert digests[0] != digests[1]
 
+    def test_frame_count_the_header_cannot_hold_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--frames", str(2**32), "--out", str(out)]) == 2
+        assert "frame-file header" in capsys.readouterr().err
+        assert not (out / "frames.bifr").exists()
+
+    def test_run_that_does_not_fit_the_disk_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(frameio.shutil, "disk_usage", lambda path: SimpleNamespace(free=10**6))
+        out = tmp_path / "out"
+        assert main(["simulate", "--frames", "2", "--out", str(out)]) == 3
+        assert f"[Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestAnalyze:
     def test_end_to_end(self, tmp_path, capsys):
@@ -153,6 +185,8 @@ class TestAnalyze:
         assert 0.0 < report["accidentals"] < 1.0
         assert report["fit_residual"] > 0.0
         assert not {"marginal_fit_residual", "joint_fit_residual"} & report.keys()
+        # the report records the run of frames.json, not the defaults
+        assert report["config"] == json.loads((run / "frames.json").read_text())["config"]
         rec = recover_visibilities(
             analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel()), PERIOD
         )
@@ -209,13 +243,28 @@ class TestAnalyze:
         assert key in err and kept not in err
         assert not (out / "analysis.json").exists()
 
-    @pytest.mark.parametrize("text", ["{not json", "[]", '{"frame_file": "frames.bifr"}'])
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"frame_file": "frames.bifr"}',
+                                      '{"frame_file": "frames.bifr", "config": {}}'])
     def test_unreadable_sidecar_exits_3(self, tmp_path, capsys, text):
         run = tmp_path / "run"
         assert main(["simulate", "--frames", "20", "--out", str(run)]) == 0
         (run / "frames.json").write_text(text)
         assert main(["analyze", str(run / "frames.bifr"), "--out", str(tmp_path / "a")]) == 3
         assert "frames.json" in capsys.readouterr().err
+
+    def test_pump_shape_is_checked_in_config_and_record(self, tmp_path, capsys):
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--frames", "20", "--out", str(run)]) == 0
+        argv = ["analyze", str(run / "frames.bifr"), "--out", str(out)]
+        assert main(argv + ["--config", write_config(tmp_path / "c.cfg", pump_shape="square")]) == 2
+        meta = json.loads((run / "frames.json").read_text())
+        meta["config"]["pump_shape"] = "square"
+        (run / "frames.json").write_text(json.dumps(meta))
+        assert main(argv) == 3
+        config_error, record_error = capsys.readouterr().err.splitlines()
+        assert config_error.startswith("configuration error: pump_shape")
+        assert record_error.startswith("data error") and "frames.json" in record_error
+        assert not (out / "analysis.json").exists()
 
     def test_sidecar_of_another_file_is_ignored(self, tmp_path):
         run = tmp_path / "run"

@@ -30,7 +30,10 @@ MODES = ["fresnel", "fourier-2f"]
 @pytest.mark.parametrize("mode", ["fresnel", "fourier-2f"])
 def test_non_positive_distance_rejected(d, mode):
     with pytest.raises(InvalidParameterError):
-        tp.analytic_summary(tp.ExperimentConfig(mode=mode), d=d)
+        tp.ExperimentConfig(mode=mode, distance=d)
+    # a sweep point is the configuration at its distance, checked the same way
+    with pytest.raises(InvalidParameterError):
+        tp.sweep(tp.ExperimentConfig(mode=mode), [0.3, d])
 
 
 def test_analysis_config_is_the_camera():
@@ -118,11 +121,11 @@ def test_aliasing_warns_only_for_a_grid_the_caller_passes():
         tp.joint_pdf(config, psi=0.6)
 
 
-def closed_rows(config, d):
+def closed_rows(config):
     args = (config.pump().grid, config.slits(), config.wavelength)
     if config.mode == "fourier-2f":
         return slit_averaged_rows(*args, focal_length=config.focal_length)
-    return slit_averaged_rows(*args, distance=d)
+    return slit_averaged_rows(*args, distance=config.distance)
 
 
 def slit_plane(config, k):
@@ -138,11 +141,11 @@ def slit_plane(config, k):
 def test_grid_rows_converge_to_closed_form(mode):
     # averaging a slit over grid nodes is a first-order rule: the error
     # halves with the spacing
-    config = tp.ExperimentConfig(mode=mode)
-    want = closed_rows(config, 0.3)
+    config = tp.ExperimentConfig(mode=mode, distance=0.3)
+    want = closed_rows(config)
     errors = []
     for k in (32, 64, 128, 256):
-        grid = slit_rows(config.illumination_kernel(slit_plane(config, k), 0.3), config.slits())
+        grid = slit_rows(config.illumination_kernel(slit_plane(config, k)), config.slits())
         errors.append(max(np.abs(g - w).max() / np.abs(w).max() for g, w in zip(grid, want)))
     ratios = np.array(errors[1:]) / np.array(errors[:-1])
     assert np.all((ratios > 0.4) & (ratios < 0.6)), (errors, ratios)
@@ -151,13 +154,13 @@ def test_grid_rows_converge_to_closed_form(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_thin_slit_rows_are_the_pointwise_kernel(mode):
-    config = tp.ExperimentConfig(mode=mode, slit_width=0.0)
-    grid = slit_rows(config.illumination_kernel(slit_plane(config, 8), 0.3), config.slits())
-    for g, w in zip(grid, closed_rows(config, 0.3)):
+    config = tp.ExperimentConfig(mode=mode, slit_width=0.0, distance=0.3)
+    grid = slit_rows(config.illumination_kernel(slit_plane(config, 8)), config.slits())
+    for g, w in zip(grid, closed_rows(config)):
         assert np.abs(g - w).max() < 1e-9
 
 
-def grid_psi(config, d, nodes):
+def grid_psi(config, nodes):
     """psi from the grid route, each slit's row the mean of the sampled kernel
     over ``nodes`` equally spaced nodes spanning the slit, edges included.
 
@@ -167,7 +170,7 @@ def grid_psi(config, d, nodes):
     """
     slits, w = config.slits(), config.slit_width
     rows = [
-        config.illumination_kernel(SpatialGrid(c - w / 2, c + w / 2, nodes), d).values.mean(axis=0)
+        config.illumination_kernel(SpatialGrid(c - w / 2, c + w / 2, nodes)).values.mean(axis=0)
         for c in (slits.x1, slits.x2)
     ]
     return ApertureCorrelations.from_pump(config.pump(), *rows).psi_effective
@@ -176,7 +179,7 @@ def grid_psi(config, d, nodes):
 @pytest.mark.parametrize("d", DISTANCES)
 @pytest.mark.parametrize("mode", MODES)
 def test_closed_form_psi_matches_richardson_limit_of_grid(mode, d):
-    config = tp.ExperimentConfig(mode=mode)
-    psi_1025, psi_4097 = grid_psi(config, d, 257), grid_psi(config, d, 1025)
+    config = tp.ExperimentConfig(mode=mode, distance=d)
+    psi_1025, psi_4097 = grid_psi(config, 257), grid_psi(config, 1025)
     richardson = psi_4097 + (psi_4097 - psi_1025) / 3
-    assert abs(tp.analytic_summary(config, d).psi - richardson) <= 1e-5
+    assert abs(tp.analytic_summary(config).psi - richardson) <= 1e-5

@@ -1,11 +1,14 @@
 """Binary frame-file format and the CSV/PGM writers."""
 
+import errno
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from twophoton.errors import FrameFormatError
+from twophoton import frameio
+from twophoton.errors import FrameFormatError, InvalidParameterError
 from twophoton.frameio import (
     HEADER_SIZE,
     MAGIC,
@@ -79,6 +82,17 @@ class TestHeader:
                 read_header(f)
         assert err.value.offset == 13
 
+    @pytest.mark.parametrize(
+        "width, height, count", [(65536, 8, 1), (8, 65536, 1), (8, 8, 2**32), (-1, 8, 1), (8, 8, -1)]
+    )
+    def test_values_the_header_cannot_hold(self, tmp_path, width, height, count):
+        with pytest.raises(InvalidParameterError):
+            FrameFileHeader(width, height, count)
+        p = tmp_path / "big.bifr"
+        with pytest.raises(InvalidParameterError):
+            write_frames(p, width, height, iter([]), count)
+        assert not p.exists()
+
     def test_short_header(self, tmp_path):
         p = tmp_path / "s.bifr"
         p.write_bytes(b"BIFR\x01")
@@ -150,6 +164,19 @@ class TestWriteRead:
         write_frames(p, 8, 6, iter(make_frames(2)), 2)
         with pytest.raises(IndexError):
             FrameFileReader(p).frame(2)
+
+    def test_file_that_does_not_fit_is_not_written(self, tmp_path, monkeypatch):
+        need = HEADER_SIZE + 3 * 8 * 6 * 2
+        monkeypatch.setattr(frameio.shutil, "disk_usage", lambda path: SimpleNamespace(free=need - 1))
+        p = tmp_path / "full.bifr"
+        with pytest.raises(OSError) as err:
+            write_frames(p, 8, 6, iter(make_frames(3)), 3)
+        assert err.value.errno == errno.ENOSPC
+        assert not p.exists()
+        # the file it replaces is space it frees
+        p.write_bytes(b"x")
+        write_frames(p, 8, 6, iter(make_frames(3)), 3)
+        assert p.stat().st_size == need
 
     def test_little_endian_on_disk(self, tmp_path):
         frame = np.full((1, 1), 0x0102, dtype=np.uint16)

@@ -74,9 +74,7 @@ class TestFringeFit:
         p = single_photon_pattern(0.5, PERIOD, grid)
         from twophoton.patterns import FringePattern1D
 
-        quantized = FringePattern1D(
-            grid, np.array([float(f"{v:.9e}") for v in p.values]), PERIOD
-        )
+        quantized = FringePattern1D(grid, np.array([float(f"{v:.9e}") for v in p.values]))
         fit0 = fit_fringe_visibility(p, PERIOD)
         fit1 = fit_fringe_visibility(quantized, PERIOD)
         assert abs(fit0.visibility - fit1.visibility) < 1e-8
@@ -87,7 +85,7 @@ class TestFringeFit:
         p = single_photon_pattern(0.4, PERIOD, grid)
         from twophoton.patterns import FringePattern1D
 
-        noisy = FringePattern1D(grid, p.values + rng.normal(0, 0.01, grid.n), PERIOD)
+        noisy = FringePattern1D(grid, p.values + rng.normal(0, 0.01, grid.n))
         fit = fit_fringe_visibility(noisy, PERIOD)
         assert fit.visibility == pytest.approx(0.4, abs=0.01)
 
@@ -103,7 +101,7 @@ class TestFringeFit:
 
         x = grid.positions
         v = 1.0 - 0.5 * np.cos(2 * np.pi * x / PERIOD)
-        fit = fit_fringe_visibility(FringePattern1D(grid, v, PERIOD), PERIOD)
+        fit = fit_fringe_visibility(FringePattern1D(grid, v), PERIOD)
         assert fit.visibility == pytest.approx(0.5, abs=1e-9)
         assert abs(fit.phase) == pytest.approx(np.pi, abs=1e-9)
 
@@ -137,7 +135,7 @@ class TestJointFit:
         idx = np.arange(grid.n)
         band = np.abs(idx[:, None] - idx[None, :]) <= 2
         vals[band] = 99.0
-        corrupted = JointPattern2D(grid, vals, "excess", period=PERIOD)
+        corrupted = JointPattern2D(grid, vals, "excess")
         fit = fit_joint_visibility(corrupted, PERIOD, (~band).astype(float))
         assert fit.v12 == pytest.approx(0.5, abs=1e-9)
 
@@ -213,8 +211,8 @@ class TestLstsqOracle:
         rng = np.random.default_rng(seed)
         t = 2 * np.pi * grid.positions / PERIOD
         y = 2.0 + 0.7 * np.cos(t + rng.uniform(-3, 3)) + rng.normal(0, 0.3, grid.n)
-        fit = fit_fringe_visibility(FringePattern1D(grid, y, PERIOD), PERIOD)
-        (c0, c1, c2), resid = lstsq_fringe(FringePattern1D(grid, y, PERIOD), PERIOD)
+        fit = fit_fringe_visibility(FringePattern1D(grid, y), PERIOD)
+        (c0, c1, c2), resid = lstsq_fringe(FringePattern1D(grid, y), PERIOD)
         assert_close(fit.offset, c0, c0)
         assert_close(fit.visibility, np.hypot(c1, c2) / c0, 1.0)
         assert_close(fit.phase, np.arctan2(-c2, c1), np.pi)
@@ -243,7 +241,7 @@ class TestLstsqOracle:
             # the analysis' own weights: 0 on the near-diagonal band, then
             # falling with the horizontal separation
             weights = np.where(dc > 3, 1.0 / (1.0 + dc), 0.0)
-        excess = JointPattern2D(grid, y, "excess", period=PERIOD)
+        excess = JointPattern2D(grid, y, "excess")
         fit = fit_joint_visibility(excess, PERIOD, weights)
         coef, resid = lstsq_joint(excess, PERIOD, weights)
         scale = np.abs(coef).max()
@@ -264,7 +262,7 @@ class TestLstsqOracle:
         weights = np.where(dc <= 3, 0.0, 1.0 / (1.0 + dc))
         dirty = np.where(weights == 0, np.nan, excess.values)
         fit = fit_joint_visibility(
-            JointPattern2D(grid, dirty, "excess", period=PERIOD), PERIOD, weights
+            JointPattern2D(grid, dirty, "excess"), PERIOD, weights
         )
         assert fit == fit_joint_visibility(excess, PERIOD, weights)
 
@@ -298,4 +296,4 @@ class TestUnderDetermined:
         grid = SpatialGrid(0.0, 10 * PERIOD, 21)
         y = 1.0 + 0.5 * np.cos(2 * np.pi * grid.positions / PERIOD)
         with pytest.raises(UnderDeterminedFitError):
-            fit_fringe_visibility(FringePattern1D(grid, y, PERIOD), PERIOD)
+            fit_fringe_visibility(FringePattern1D(grid, y), PERIOD)
