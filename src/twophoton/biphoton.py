@@ -68,63 +68,6 @@ class PumpProfile:
         return cls("gaussian", width, grid, np.exp(-4 * (x / width) ** 2) + 0j)
 
 
-def _check_rows(pump: PumpProfile, r1: np.ndarray, r2: np.ndarray) -> None:
-    if np.shape(r1) != (pump.grid.n,) or np.shape(r2) != (pump.grid.n,):
-        raise InvalidParameterError("slit rows must be sampled on the pump grid")
-
-
-def coherence_at_slits(
-    pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
-) -> tuple[float, float, complex]:
-    """Second-order coherence values (G11, G22, G12) at the slit plane.
-
-    ``r1`` and ``r2`` are the illumination kernel rows at the two slits on
-    the pump grid.
-    """
-    _check_rows(pump, r1, r2)
-    ip = pump.intensity
-    if not np.any(ip):
-        raise DegenerateSourceError("pump intensity is identically zero")
-    dx = pump.grid.spacing
-    g11 = float(np.sum(ip * np.abs(r1) ** 2) * dx)
-    g22 = float(np.sum(ip * np.abs(r2) ** 2) * dx)
-    g12 = complex(np.sum(ip * np.conj(r1) * r2) * dx)
-    return g11, g22, g12
-
-
-def biphoton_at_slits(
-    pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
-) -> tuple[complex, complex, complex]:
-    """Two-photon wavefunction values (P11, P22, P12) at the slit plane."""
-    _check_rows(pump, r1, r2)
-    ep = pump.fields
-    dx = pump.grid.spacing
-    p11 = complex(np.sum(ep * r1 * r1) * dx)
-    p22 = complex(np.sum(ep * r2 * r2) * dx)
-    p12 = complex(np.sum(ep * r1 * r2) * dx)
-    return p11, p22, p12
-
-
-def normalized_values(
-    g11: float,
-    g22: float,
-    g12: complex,
-    p11: complex,
-    p22: complex,
-    p12: complex,
-) -> tuple[complex, complex]:
-    """Degree of coherence g1 = G12/sqrt(G11 G22) and psi = P12/P11."""
-    if g11 * g22 <= 0:
-        raise NormalizationError(
-            f"coherence self-terms vanish (G11={g11}, G22={g22})"
-        )
-    if abs(p11) == 0:
-        raise NormalizationError("biphoton self-term P11 vanishes")
-    g1 = g12 / math.sqrt(g11 * g22)
-    psi = p12 / p11
-    return g1, psi
-
-
 def real_psi(psi: complex) -> float:
     """Collapse psi to the real number used by the visibility formulas.
 
@@ -156,7 +99,9 @@ def effective_psi(p11: complex, p22: complex, p12: complex) -> float:
 
 @dataclass(frozen=True)
 class ApertureCorrelations:
-    """The six slit-plane correlation values plus their normalized forms."""
+    """The six slit-plane correlation values plus their normalized forms:
+    the coherence values (G11, G22, G12) and the two-photon wavefunction
+    values (P11, P22, P12) of the module docstring."""
 
     g11: float
     g22: float
@@ -169,25 +114,39 @@ class ApertureCorrelations:
     def from_pump(
         cls, pump: PumpProfile, r1: np.ndarray, r2: np.ndarray
     ) -> "ApertureCorrelations":
-        """Correlations of ``pump`` through the slit rows ``r1``, ``r2``."""
-        g11, g22, g12 = coherence_at_slits(pump, r1, r2)
-        p11, p22, p12 = biphoton_at_slits(pump, r1, r2)
-        return cls(g11, g22, g12, p11, p22, p12)
+        """Correlations of ``pump`` through the slit rows ``r1``, ``r2``: the
+        illumination kernel rows at the two slits on the pump grid."""
+        if np.shape(r1) != (pump.grid.n,) or np.shape(r2) != (pump.grid.n,):
+            raise InvalidParameterError("slit rows must be sampled on the pump grid")
+        ip, ep, dx = pump.intensity, pump.fields, pump.grid.spacing
+        return cls(
+            float(np.sum(ip * np.abs(r1) ** 2) * dx),
+            float(np.sum(ip * np.abs(r2) ** 2) * dx),
+            complex(np.sum(ip * np.conj(r1) * r2) * dx),
+            complex(np.sum(ep * r1 * r1) * dx),
+            complex(np.sum(ep * r2 * r2) * dx),
+            complex(np.sum(ep * r1 * r2) * dx),
+        )
 
     @property
     def g1(self) -> complex:
-        return normalized_values(*self.astuple())[0]
+        """Degree of coherence G12 / sqrt(G11 G22)."""
+        if self.g11 * self.g22 <= 0:
+            raise NormalizationError(
+                f"coherence self-terms vanish (G11={self.g11}, G22={self.g22})"
+            )
+        return self.g12 / math.sqrt(self.g11 * self.g22)
 
     @property
     def psi(self) -> complex:
-        return normalized_values(*self.astuple())[1]
+        """Biphoton ratio P12 / P11."""
+        if abs(self.p11) == 0:
+            raise NormalizationError("biphoton self-term P11 vanishes")
+        return self.p12 / self.p11
 
     @property
     def psi_effective(self) -> float:
         return effective_psi(self.p11, self.p22, self.p12)
-
-    def astuple(self):
-        return (self.g11, self.g22, self.g12, self.p11, self.p22, self.p12)
 
 
 def psi_sinc_closed_form(

@@ -199,9 +199,9 @@ def cmd_analyze(args) -> int:
     result = analyze_source(reader, config.camera)
     recovered = recover_visibilities(result, config.fringe_period)
     acc = result.accumulator
-    # the written estimate interpolates the unobserved band for display;
-    # the fits above read only the observed cells.  finalize is looked up
-    # on its module, where the benchmark's trace hook wraps it.
+    # the written estimate is the fitted one, 0 on the unobserved band.
+    # finalize is looked up on its module, where the benchmark's trace hook
+    # wraps it.
     estimate = framepipe.finalize(acc, result.camera)
     marginal = marginal_pattern(estimate)
     excess = excess_pattern(estimate, marginal, config.fringe_period)

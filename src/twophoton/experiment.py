@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .biphoton import ApertureCorrelations, PumpProfile, real_psi
-from .errors import AliasingWarning, EmptyEstimateError, InvalidParameterError, TwoPhotonError
+from .errors import AliasingWarning, EmptyEstimateError, InvalidParameterError
 from .framepipe import (
     AnalysisResult,
     accidental_fraction,
@@ -197,7 +197,8 @@ def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisi
     marginals to the counts; it carries no difference fringe, so the
     difference amplitude holds the pairs' V12 diluted by 1 - eps, with eps
     estimated from the empty-frame fraction and the quantum efficiency of
-    the result's camera.
+    the result's camera.  A stream with no empty frame gives no estimate of
+    eps and raises ``EmptyEstimateError``.
     """
     acc, cam = result.accumulator, result.camera
     if acc.pairs_accepted == 0:
@@ -206,10 +207,7 @@ def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisi
     pattern = JointPattern2D(cam.pixel_grid(), counts, "coincidence")
     jfit = fit_joint_visibility(pattern, period, acceptance)
     qe = cam.quantum_efficiency
-    try:
-        eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
-    except TwoPhotonError:
-        eps = 0.0
+    eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
     v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
     v12 = float(min(max(v12, 0.0), 1.0))
     return RecoveredVisibilities(jfit.amp_single / jfit.offset, v12, jfit.v12, eps, jfit)

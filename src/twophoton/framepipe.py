@@ -11,8 +11,9 @@ increment to the coincidence accumulator.
 out of the accumulated counts and returns it as a per-cell acceptance, 0 on
 the resolution-limited near-diagonal band.  That acceptance is the
 visibility fit's weight, and the fit reads only the cells where it is
-positive.  ``finalize`` turns the counts into a normalized joint pattern for
-display and export, with the zero-acceptance cells interpolated.
+positive.  ``finalize`` scales the corrected counts to a normalized joint
+pattern for display and export, 0 on the zero-acceptance cells it never
+observed.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
 only, and labels just the lit (above-threshold) pixels of a block: they are
@@ -258,37 +259,6 @@ def vertical_acceptance(delta_col: np.ndarray | int, strip_height: int) -> np.nd
     return float(out) if np.isscalar(delta_col) else out
 
 
-def _interpolate_missing(values: np.ndarray, missing: np.ndarray, window: int = 7) -> np.ndarray:
-    """Fill missing cells with the mean of valid cells in a square window.
-
-    Only the missing cells' windows are read; cells beyond the matrix edge
-    count as invalid.  A cell with no valid neighbor waits for a later pass,
-    which also reads the cells filled before it.
-    """
-    out = values.copy()
-    todo = missing.copy()
-    half = window // 2
-    n0, n1 = out.shape
-    offsets = np.arange(-half, half + 1)
-    while todo.any():
-        cells = np.flatnonzero(todo)
-        r, c = np.divmod(cells, n1)
-        rows = r[:, None, None] + offsets[:, None]
-        cols = c[:, None, None] + offsets
-        inside = ((rows >= 0) & (rows < n0)) & ((cols >= 0) & (cols < n1))
-        window_cells = np.clip(rows, 0, n0 - 1) * n1 + np.clip(cols, 0, n1 - 1)
-        valid = inside & ~todo.take(window_cells)
-        den = valid.sum(axis=(1, 2))
-        fix = den > 0
-        if not fix.any():
-            break
-        num = (out.take(window_cells) * valid).sum(axis=(1, 2))
-        cells = cells[fix]
-        out.ravel()[cells] = num[fix] / den[fix]
-        todo.ravel()[cells] = False
-    return out
-
-
 def corrected_counts(
     acc: CoincidenceAccumulator, cam: CameraModel
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -320,26 +290,22 @@ def finalize(acc: CoincidenceAccumulator, cam: CameraModel) -> JointPattern2D:
     """Normalized G2 estimate from the accumulated counts, for display and
     export.
 
-    Divides the acceptance-corrected counts (``corrected_counts``) by the
-    total frame count, fills each cell of zero acceptance (the near-diagonal
-    band and any separation the vertical filter never accepts) with the
-    mean of the observed cells within 3 pixels of it, symmetrizes, and
-    normalizes to unit sum over the pixel-center position grid.  A 7-pixel
-    window mean holds no fringe whose period is a few pixels, so the filled
-    cells are for display only: ``recover_visibilities`` fits the observed
-    cells of ``corrected_counts`` and never reads this estimate.
+    The acceptance-corrected counts (``corrected_counts``) scaled to unit
+    sum over the pixel-center position grid.  Every cell of zero acceptance
+    (the near-diagonal band and any separation the vertical filter never
+    accepts) was never observed and holds 0, so the estimate is the pattern
+    ``recover_visibilities`` fits: refitting it with the acceptance as the
+    weight gives the same visibilities.
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    est, acceptance = corrected_counts(acc, cam)
-    est /= acc.frames_total
-    est = _interpolate_missing(est, acceptance == 0)
-    est = 0.5 * (est + est.T)
+    est, _ = corrected_counts(acc, cam)
     grid = cam.pixel_grid()
     total = est.sum() * grid.spacing**2
     if total <= 0:
         raise EmptyEstimateError("estimate has zero total mass")
-    return JointPattern2D(grid, est / total, "coincidence")
+    est /= total
+    return JointPattern2D(grid, est, "coincidence")
 
 
 def superpixel_bin(matrix: np.ndarray, factor: int = 4) -> np.ndarray:
@@ -396,11 +362,9 @@ def marginal_consistency(
     Both are reduced to superpixel bins and normalized; the chi-square uses
     propagated variances (for the marginal, the Poisson variance count /
     acceptance of each corrected count; Poisson for the singles).  The
-    cells of zero acceptance, the unobservable near-diagonal band, are left
-    out of the marginal rather than interpolated: interpolated cells are
-    correlated combinations of the high-weight cells next to the band, which
-    would add variance the per-cell propagation cannot see, and the band
-    carries a per-row mass fraction so nearly uniform that dropping it is
+    cells of zero acceptance, the unobservable near-diagonal band, hold 0,
+    so the marginal is that of ``finalize``'s estimate up to scale; the band
+    carries a per-row mass fraction so nearly uniform that leaving it out is
     absorbed by the shared normalization.
     """
     counts, acceptance = corrected_counts(acc, cam)

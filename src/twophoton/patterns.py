@@ -77,9 +77,6 @@ class JointPattern2D:
     def cell_area(self) -> float:
         return self.grid.spacing ** 2
 
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.cell_area())
-
 
 def _normalized(values: np.ndarray, dx: float) -> np.ndarray:
     """``values`` scaled in place to unit sum over cells of area dx^2."""

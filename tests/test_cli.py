@@ -23,6 +23,7 @@ from twophoton.framepipe import (
     CoincidenceAccumulator,
     _reduce_range,
     analyze_source,
+    corrected_counts,
     process_frame,
 )
 from twophoton.optics import SpatialGrid
@@ -173,7 +174,10 @@ class TestSimulate:
 class TestAnalyze:
     def test_end_to_end(self, tmp_path, capsys):
         run = tmp_path / "run"
-        assert main(["simulate", "--frames", "3000", "--seed", "11", "--out", str(run)]) == 0
+        # enough pairs that the cells next to the band hold counts
+        cfg = write_config(tmp_path / "run.cfg", mean_pairs=3.0)
+        assert main(["simulate", "--config", cfg, "--frames", "3000", "--seed", "11",
+                     "--out", str(run)]) == 0
         out = tmp_path / "analysis"
         code = main(["analyze", str(run / "frames.bifr"), "--out", str(out)])
         assert code == 0
@@ -187,9 +191,8 @@ class TestAnalyze:
         assert not {"marginal_fit_residual", "joint_fit_residual"} & report.keys()
         # the report records the run of frames.json, not the defaults
         assert report["config"] == json.loads((run / "frames.json").read_text())["config"]
-        rec = recover_visibilities(
-            analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel()), PERIOD
-        )
+        result = analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel())
+        rec = recover_visibilities(result, PERIOD)
         assert report["v12_ratio"] == rec.v12_ratio
         assert report["accidentals"] == rec.accidentals
         assert report["fit_residual"] == rec.joint_fit.residual
@@ -198,6 +201,20 @@ class TestAnalyze:
         for name in outputs:
             assert (out / name).exists()
         assert "V1m" in capsys.readouterr().out
+        # the written estimate is the fitted one: 0 on the unobserved band,
+        # and its acceptance-weighted refit gives the logged visibilities
+        counts, acceptance = corrected_counts(result.accumulator, result.camera)
+        grid = result.camera.pixel_grid()
+        data = np.loadtxt(out / "estimate.csv", delimiter=",", skiprows=1)
+        estimate = JointPattern2D(grid, data[:, 2].reshape(grid.n, grid.n))
+        assert np.all(estimate.values[acceptance == 0] == 0.0)
+        refit = fit_joint_visibility(estimate, PERIOD, acceptance)
+        assert refit.amp_single / refit.offset == pytest.approx(report["v1m"], rel=1e-8)
+        assert refit.v12 == pytest.approx(report["v12_ratio"], rel=1e-8)
+        # the written marginal is the band-excluded one the chi-square tests
+        _, marginal = read_pattern_csv(out / "estimate_marginal.csv")
+        want = counts.sum(axis=1)
+        assert np.allclose(marginal, want * (marginal.sum() / want.sum()), rtol=1e-9, atol=0)
 
     def test_camera_efficiency_reaches_accidental_correction(self, tmp_path):
         cfg = write_config(tmp_path / "qe.cfg", quantum_efficiency=0.3, n_frames=1500, seed=4)
@@ -309,6 +326,14 @@ class TestAnalyze:
         assert main(["simulate", "--frames", "1500", "--seed", "11", "--out", str(run)]) == 0
         assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 0
         assert json.loads((out / "analysis.json").read_text())["pairs_accepted"] > 0
+
+    def test_run_without_an_empty_frame_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", mean_pairs=9.0, n_frames=300, seed=3)
+        run, out = tmp_path / "run", tmp_path / "analysis"
+        assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 3
+        assert "empty frames" in capsys.readouterr().err
+        assert not (out / "analysis.json").exists()
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bifr"), "--out", str(tmp_path)]) == 3

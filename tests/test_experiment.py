@@ -12,7 +12,7 @@ import twophoton as tp
 from oracle import expected_accumulator
 from twophoton import framepipe, patterns
 from twophoton.biphoton import ApertureCorrelations
-from twophoton.errors import AliasingWarning, InvalidParameterError
+from twophoton.errors import AliasingWarning, EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
     AnalysisResult,
     accidental_fraction,
@@ -21,6 +21,7 @@ from twophoton.framepipe import (
 )
 from twophoton.optics import SpatialGrid, slit_averaged_rows, slit_rows
 from twophoton.sensor import CameraModel
+from twophoton.visibility import fit_joint_visibility
 
 DISTANCES = [0.055, 0.063, 0.30, 0.54, 0.87]
 MODES = ["fresnel", "fourier-2f"]
@@ -100,13 +101,38 @@ def test_oracle_matches_monte_carlo_counts():
 
 def test_closure_reads_no_band_fill(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the fits read an interpolated or excess pattern")
+        raise AssertionError("the fits read an excess pattern")
 
-    monkeypatch.setattr(framepipe, "_interpolate_missing", refuse)
     monkeypatch.setattr(patterns, "excess_pattern", refuse)
     monkeypatch.setattr(tp.experiment, "excess_pattern", refuse)
     closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
     assert 0.0 < closure.recovered.v1m <= 1.0
+
+
+@pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
+def test_refit_of_the_written_estimate_is_the_recovered_fit(mean_pairs):
+    config = tp.ExperimentConfig(n_frames=1500, mean_pairs=mean_pairs, seed=3)
+    closure = tp.run_closure(config, psi=0.6)
+    acc, cam = closure.analysis.accumulator, closure.analysis.camera
+    _, acceptance = framepipe.corrected_counts(acc, cam)
+    fit = fit_joint_visibility(framepipe.finalize(acc, cam), config.fringe_period, acceptance)
+    rec = closure.recovered
+    assert fit.amp_single / fit.offset == pytest.approx(rec.v1m, rel=1e-12)
+    assert fit.v12 == pytest.approx(rec.v12_ratio, rel=1e-12)
+    # the amplitudes differ from the counts' by the estimate's scale only
+    want = rec.joint_fit
+    assert fit.amp_sum / fit.offset == pytest.approx(want.amp_sum / want.offset, rel=1e-12)
+    assert fit.amp_diff / fit.offset == pytest.approx(want.amp_diff / want.offset, rel=1e-12)
+    assert fit.residual == pytest.approx(want.residual, rel=1e-12)
+
+
+def test_run_without_an_empty_frame_has_no_accidental_estimate():
+    config = tp.ExperimentConfig(n_frames=300, mean_pairs=9.0, seed=3)
+    analysis = analyze_source(tp.build_simulator(config, psi=0.6), config.camera)
+    assert analysis.accumulator.frames_empty == 0
+    assert analysis.accumulator.pairs_accepted > 0
+    with pytest.raises(EmptyEstimateError, match="empty frames"):
+        tp.recover_visibilities(analysis, config.fringe_period)
 
 
 def test_aliasing_warns_only_for_a_grid_the_caller_passes():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import ndimage
 
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
@@ -29,7 +28,6 @@ from twophoton.framepipe import (
     threshold_frame,
     vertical_acceptance,
     _block_events,
-    _interpolate_missing,
     _reduce_range,
     _strip_window,
 )
@@ -286,20 +284,24 @@ class TestEstimate:
         assert acceptance[10, 10] == 0.0
 
     def test_finalize_properties(self):
-        # (28, 33) sits next to the missing band, so nearby band cells
-        # interpolate to a positive value
+        # (28, 33) sits next to the missing band, which stays unfilled
         acc = self.make_acc([(10, 40), (12, 50), (28, 33)])
         est = finalize(acc, CAM64)
-        assert est.values.shape == (64, 64)
-        assert np.allclose(est.values, est.values.T)
-        assert est.total() == pytest.approx(1.0)
-        assert est.values.min() >= 0
-        # the missing band was interpolated, not left at zero
-        assert est.values[30, 30] > 0
+        counts, acceptance = corrected_counts(acc, CAM64)
+        assert est.grid == CAM64.pixel_grid()
+        assert np.all(est.values[acceptance == 0] == 0.0)
+        assert est.values[30, 30] == 0.0
+        area = est.cell_area()
+        assert est.values.sum() * area == pytest.approx(1.0, rel=1e-15)
+        want = counts / (counts.sum() * area)
+        assert np.allclose(est.values, want, rtol=1e-15, atol=0)
 
     def test_finalize_empty(self):
         with pytest.raises(EmptyEstimateError):
             finalize(self.make_acc([]), CAM64)
+        # a pair inside the band is never observed: nothing to normalize
+        with pytest.raises(EmptyEstimateError):
+            finalize(self.make_acc([(10, 12)]), CAM64)
 
     def test_finalize_rejects_other_width(self):
         acc = self.make_acc([(10, 40)])
@@ -317,66 +319,6 @@ class TestEstimate:
         assert superpixel_bin(v, 4).sum() == pytest.approx(v.sum())  # zero-padded
         with pytest.raises(InvalidParameterError):
             superpixel_bin(m, 0)
-
-
-def uniform_filter_fill(values, missing, window=7):
-    """The band fill as full-matrix window means: the reference for
-    ``_interpolate_missing``.
-
-    ``den`` is the valid fraction of each window, at least 1 / window^2 where
-    any cell is valid; the filter's running means leave rounding residue
-    where none is, which must not count as a valid neighbor.
-    """
-    out = values.copy()
-    todo = missing.copy()
-    while todo.any():
-        valid = (~todo).astype(float)
-        num = ndimage.uniform_filter(out * valid, size=window, mode="constant")
-        den = ndimage.uniform_filter(valid, size=window, mode="constant")
-        fixable = todo & (den > 0.5 / window**2)
-        if not fixable.any():
-            break
-        out[fixable] = num[fixable] / den[fixable]
-        todo &= ~fixable
-    return out
-
-
-class TestBandFill:
-    def counts(self, shape, seed):
-        return np.random.default_rng(seed).poisson(3.0, shape).astype(float)
-
-    def check(self, values, missing):
-        got = _interpolate_missing(values, missing)
-        want = uniform_filter_fill(values, missing)
-        # the reference's running means carry rounding along each line: up
-        # to 3e-15 of the maximum on 512-cell lines of these counts
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(got[~missing], values[~missing])
-        return got
-
-    @pytest.mark.parametrize("n, patch", [(512, 3), (64, 3), (37, 1)])
-    def test_band_masks(self, n, patch):
-        missing = band_mask(n, patch)
-        values = np.where(missing, 0.0, self.counts((n, n), n))
-        self.check(values, missing)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_masks_with_corners_for_a_second_pass(self, seed):
-        rng = np.random.default_rng(seed)
-        values = self.counts((60, 45), seed)
-        missing = rng.random(values.shape) < 0.3
-        # 7x7 missing corners: their innermost cells see no valid cell in
-        # the first pass and are filled from first-pass values
-        for rows in (slice(0, 7), slice(-7, None)):
-            for cols in (slice(0, 7), slice(-7, None)):
-                missing[rows, cols] = True
-        got = self.check(values, missing)
-        assert np.isfinite(got).all()
-
-    def test_nothing_valid_stays_unfilled(self):
-        values = np.arange(16.0).reshape(4, 4)
-        missing = np.ones((4, 4), dtype=bool)
-        assert np.array_equal(_interpolate_missing(values, missing), values)
 
 
 class TestChiSquare:
