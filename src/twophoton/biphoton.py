@@ -47,7 +47,7 @@ class PumpProfile:
         return np.abs(self.fields) ** 2
 
     @classmethod
-    def uniform(cls, width: float, n: int = 4096) -> "PumpProfile":
+    def uniform(cls, width: float, n: int) -> "PumpProfile":
         """Unit-amplitude beam of the given full width.
 
         Sampled on cell midpoints so the rectangle rule integrates the hard
@@ -59,7 +59,7 @@ class PumpProfile:
         return cls("uniform", width, grid, np.ones(n, dtype=complex))
 
     @classmethod
-    def gaussian(cls, width: float, n: int = 4096) -> "PumpProfile":
+    def gaussian(cls, width: float, n: int) -> "PumpProfile":
         """Gaussian beam of 1/e^2 intensity diameter ``width``, sampled over 4 widths."""
         if width <= 0:
             raise InvalidParameterError("pump width must be positive")

@@ -34,7 +34,7 @@ from .patterns import (
     marginal_pattern,
     single_photon_pattern,
 )
-from .sensor import CameraModel, FrameSimulator
+from .sensor import CameraModel, FrameSimulator, require_finite
 from .visibility import (
     JointFit,
     VisibilitySet,
@@ -74,6 +74,7 @@ class ExperimentConfig:
     seed: int = 20260823
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("pump_width", "distance", "slit_separation", "wavelength", "focal_length"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive")
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"pump_shape must be one of {PUMP_SHAPES}")
         if self.n_frames < 0 or self.mean_pairs < 0:
             raise InvalidParameterError("n_frames and mean_pairs must be >= 0")
+        if self.pump_grid_n < 2:
+            raise InvalidParameterError("pump_grid_n must be >= 2")
 
     @property
     def fringe_period(self) -> float:
@@ -175,9 +178,9 @@ class RecoveredVisibilities:
     ``v12`` is the accidental-corrected difference-amplitude estimate
     (c_S - c_D) / (c0 (1 - eps)); ``v12_ratio`` is the fit's scale-free
     ratio estimate, which needs no accidental model but carries roughly
-    twice the statistical noise.  ``accidentals`` is eps, the estimated
-    fraction of accepted pairs that photons from different down-conversion
-    events contributed.
+    twice the statistical noise.  All three are the fit's values, unclamped.
+    ``accidentals`` is eps, the estimated fraction of accepted pairs that
+    photons from different down-conversion events contributed.
     """
 
     v1m: float
@@ -208,8 +211,7 @@ def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisi
     jfit = fit_joint_visibility(pattern, period, acceptance)
     qe = cam.quantum_efficiency
     eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
-    v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
-    v12 = float(min(max(v12, 0.0), 1.0))
+    v12 = float((jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps)))
     return RecoveredVisibilities(jfit.amp_single / jfit.offset, v12, jfit.v12, eps, jfit)
 
 
@@ -267,20 +269,16 @@ def sweep(
 def analytic_patterns(
     config: ExperimentConfig,
     grid: SpatialGrid | None = None,
-    psi: float | None = None,
-    g1: float | None = None,
+    *,
+    psi: float,
+    g1: float,
 ) -> dict[str, object]:
     """Analytic I(x'), G2, marginal, and excess patterns on a grid.
 
-    Defaults to the camera pixel grid, whose undersampling of the fringe is
-    the camera's and raises no warning; a grid the caller passes warns when
-    it undersamples.  Analytic work usually passes a finer grid.
+    The grid defaults to the camera pixel grid, whose undersampling of the
+    fringe is the camera's and raises no warning; a grid the caller passes
+    warns when it undersamples.  Analytic work usually passes a finer grid.
     """
-    summary = None
-    if psi is None or g1 is None:
-        summary = analytic_summary(config)
-    psi = summary.psi if psi is None else psi
-    g1 = summary.g1 if g1 is None else g1
     period = config.fringe_period
     with warnings.catch_warnings():
         if grid is None:

@@ -131,19 +131,7 @@ class FrameFileReader:
         return self.header.height, self.header.width
 
     def frame(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.header.frame_count:
-            raise IndexError(k)
-        nbytes = self.header.frame_bytes
-        with open(self.path, "rb") as f:
-            f.seek(HEADER_SIZE + k * nbytes)
-            raw = f.read(nbytes)
-        if len(raw) != nbytes:
-            raise FrameFormatError(
-                f"truncated frame {k}", offset=HEADER_SIZE + k * nbytes + len(raw)
-            )
-        return np.frombuffer(raw, dtype="<u2").reshape(
-            self.header.height, self.header.width
-        )
+        return self.strip_block(k, k + 1, (0, self.header.height))[0]
 
     def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.

@@ -13,7 +13,8 @@ the resolution-limited near-diagonal band.  That acceptance is the
 visibility fit's weight, and the fit reads only the cells where it is
 positive.  ``finalize`` scales the corrected counts to a normalized joint
 pattern for display and export, 0 on the zero-acceptance cells it never
-observed.
+observed.  ``marginal_consistency`` tests the G2 marginal against the
+singles histogram by chi-square, with ``scipy.special.chdtrc`` as p-value.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
 only, and labels just the lit (above-threshold) pixels of a block: they are
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, ndimage, sparse, stats
+from scipy import linalg, ndimage, sparse, special
 from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
@@ -351,7 +352,8 @@ def chi2_compare(observed: np.ndarray, expected: np.ndarray, variance: np.ndarra
         raise InvalidParameterError("need at least 2 usable bins")
     stat = float(np.sum((o[use] - e[use]) ** 2 / v[use]))
     dof = n - 1
-    return Chi2Result(stat, dof, float(stats.chi2.sf(stat, dof)))
+    # chdtrc is the chi-square survival function P(X > stat)
+    return Chi2Result(stat, dof, float(special.chdtrc(dof, stat)))
 
 
 def marginal_consistency(

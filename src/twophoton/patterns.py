@@ -102,7 +102,6 @@ def intensity_general(
     h2: LinearKernel,
     corr,
     slits: SlitPair,
-    grid: SpatialGrid | None = None,
 ) -> FringePattern1D:
     """One-photon intensity from the detection kernel and slit coherence.
 
@@ -110,8 +109,6 @@ def intensity_general(
             + 2 Re[ conj(h2(x',x1)) h2(x',x2) G12 ],
     normalized to unit mean.  ``corr`` provides g11, g22, g12.
     """
-    if grid is not None and grid != h2.grid_out:
-        raise CompositionError("requested grid differs from the h2 output grid")
     c1, c2 = slit_columns(h2, slits)
     v = (
         np.abs(c1) ** 2 * corr.g11
@@ -129,7 +126,6 @@ def coincidence_general(
     h2: LinearKernel,
     corr,
     slits: SlitPair,
-    grid: SpatialGrid | None = None,
 ) -> JointPattern2D:
     """Coincidence pattern |Psi(x', x'')|^2 from the two-path amplitude.
 
@@ -137,8 +133,6 @@ def coincidence_general(
           + [h2(x',x1) h2(x'',x2) + h2(x',x2) h2(x'',x1)] P12,
     unit-sum normalized.  ``corr`` provides p11, p22, p12.
     """
-    if grid is not None and grid != h2.grid_out:
-        raise CompositionError("requested grid differs from the h2 output grid")
     c1, c2 = slit_columns(h2, slits)
     psi2 = (
         np.outer(c1, c1) * corr.p11

@@ -9,7 +9,7 @@ photons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,13 @@ from .optics import SpatialGrid
 from .patterns import JointPattern2D
 
 FULL_SCALE = 65535
+
+
+def require_finite(record) -> None:
+    """Raise ``InvalidParameterError`` naming a NaN or infinite float field."""
+    for f in fields(record):
+        if isinstance(value := getattr(record, f.name), float) and not np.isfinite(value):
+            raise InvalidParameterError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class CameraModel:
     strip_rows: tuple[int, int] = (240, 271)
 
     def __post_init__(self):
+        require_finite(self)
         if self.width < 2 or self.height < 2:
             raise InvalidParameterError("frame width and height must be >= 2")
         if self.pitch <= 0:
@@ -204,8 +212,8 @@ class FrameSimulator:
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_frames < 0 or self.mean_pairs < 0:
-            raise InvalidParameterError("frame count and pair rate must be >= 0")
+        if min(self.n_frames, self.seed) < 0 or not 0 <= self.mean_pairs < np.inf:
+            raise InvalidParameterError("n_frames and seed must be >= 0, mean_pairs in [0, inf)")
         if self.pattern.grid != self.camera.pixel_grid():
             raise InvalidParameterError(
                 f"pattern grid {self.pattern.grid} is not the camera's pixel grid "

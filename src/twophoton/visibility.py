@@ -127,7 +127,7 @@ class JointFit:
     ``offset`` is c0, ``amp_sum`` and ``amp_diff`` are the signed sum- and
     difference-coordinate fringe amplitudes c_S and c_D, and ``amp_single``
     is the one-photon fringe amplitude |c1| of cos and sin in quadrature.
-    ``v12`` is the scale-free ratio (B + C) / (B - C), clamped to [0, 1],
+    ``v12`` is the scale-free ratio (B + C) / (B - C), unclamped (0 if B = C),
     of B = c_S - |c1|^2 / (2 c0) and C = c_D - |c1|^2 / (2 c0).  On a G2
     that mixes a pair density with the product of its marginals, in any
     proportion, it is the pair density's V12; on an excess pattern c1 is
@@ -208,6 +208,5 @@ def fit_joint_visibility(
     if abs(denom) < 1e-12 * max(abs(a), 1e-300):
         v12 = 0.0
     else:
-        v12 = (b + c - shift) / denom
-    v12 = float(min(max(v12, 0.0), 1.0))
+        v12 = float((b + c - shift) / denom)
     return JointFit(v12, b, c, single, a, resid)

@@ -41,6 +41,12 @@ def test_import_is_silent():
     assert merged_output(["-c", "import twophoton"]) == []
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone pulls in optimize, integrate, interpolate, spatial and fft
+    code = "import sys, twophoton; print('scipy.stats' in sys.modules)"
+    assert merged_output(["-c", code]) == ["False"]
+
+
 def test_untraced_run_ends_in_result_with_every_end_to_end_metric():
     lines = bench_run(0)
     assert len(lines) == 2, lines

@@ -51,7 +51,7 @@ class TestPumpProfile:
 
     def test_negative_width_rejected(self):
         with pytest.raises(InvalidParameterError):
-            PumpProfile.uniform(-1e-3)
+            PumpProfile.uniform(-1e-3, 64)
 
 
 class TestClosedFormAgreement:

@@ -149,6 +149,19 @@ class TestSimulate:
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "frames.bifr").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", -1), ("mean_pairs", "nan"), ("mean_pairs", "inf"), ("dark_rate", "nan"),
+         ("pitch", "inf"), ("threshold", "nan"), ("wavelength", "inf"), ("pump_grid_n", 0)],
+    )
+    def test_bad_run_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", n_frames=5, **{key: value})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and key in err
+        assert not (out / "frames.bifr").exists()
+
     def test_different_seed_differs(self, tmp_path):
         digests = []
         for seed in ("5", "6"):
@@ -184,8 +197,6 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["frames_total"] == 3000
         assert report["pairs_accepted"] > 0
-        assert 0.0 <= report["v12"] <= 1.0
-        assert 0.0 <= report["v12_ratio"] <= 1.0
         assert 0.0 < report["accidentals"] < 1.0
         assert report["fit_residual"] > 0.0
         assert not {"marginal_fit_residual", "joint_fit_residual"} & report.keys()
@@ -193,6 +204,7 @@ class TestAnalyze:
         assert report["config"] == json.loads((run / "frames.json").read_text())["config"]
         result = analyze_source(FrameFileReader(run / "frames.bifr"), tp.CameraModel())
         rec = recover_visibilities(result, PERIOD)
+        assert report["v12"] == rec.v12
         assert report["v12_ratio"] == rec.v12_ratio
         assert report["accidentals"] == rec.accidentals
         assert report["fit_residual"] == rec.joint_fit.residual
@@ -268,6 +280,20 @@ class TestAnalyze:
         (run / "frames.json").write_text(text)
         assert main(["analyze", str(run / "frames.bifr"), "--out", str(tmp_path / "a")]) == 3
         assert "frames.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [("mean_pairs",), ("camera", "dark_rate")])
+    def test_non_finite_sidecar_value_exits_3(self, tmp_path, capsys, path):
+        run = tmp_path / "run"
+        assert main(["simulate", "--frames", "20", "--out", str(run)]) == 0
+        meta = json.loads((run / "frames.json").read_text())
+        record = meta["config"]
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = float("nan")
+        (run / "frames.json").write_text(json.dumps(meta))
+        assert main(["analyze", str(run / "frames.bifr"), "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and path[-1] in err
 
     def test_pump_shape_is_checked_in_config_and_record(self, tmp_path, capsys):
         run, out = tmp_path / "run", tmp_path / "analysis"

@@ -109,6 +109,19 @@ def test_closure_reads_no_band_fill(monkeypatch):
     assert 0.0 < closure.recovered.v1m <= 1.0
 
 
+def test_visibilities_are_reported_as_fitted():
+    # 800 frames are noisy enough that both V12 estimates of this seed fall below 0
+    config = tp.ExperimentConfig(n_frames=800, seed=4)
+    rec = tp.recover_visibilities(
+        analyze_source(tp.build_simulator(config), config.camera), config.fringe_period
+    )
+    jf = rec.joint_fit
+    want = (jf.amp_sum - jf.amp_diff) / (jf.offset * (1.0 - rec.accidentals))
+    assert rec.v12 == pytest.approx(want, rel=1e-12)
+    assert rec.v12 < 0.0 and rec.v12_ratio < 0.0
+    assert rec.v1m == jf.amp_single / jf.offset > 1.0
+
+
 @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
 def test_refit_of_the_written_estimate_is_the_recovered_fit(mean_pairs):
     config = tp.ExperimentConfig(n_frames=1500, mean_pairs=mean_pairs, seed=3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
@@ -327,13 +328,20 @@ class TestChiSquare:
         r = chi2_compare(o, o, np.full(10, 1e-4))
         assert r.statistic == 0.0 and r.dof == 9 and r.pvalue == pytest.approx(1.0)
 
-    def test_known_statistic(self):
-        o = np.array([1.0, 2.0, 3.0])
-        e = np.array([1.1, 1.9, 3.0])
-        v = np.array([0.01, 0.01, 0.01])
-        r = chi2_compare(o, e, v)
-        assert r.statistic == pytest.approx(2.0)
-        assert r.dof == 2
+    @pytest.mark.parametrize(
+        "statistic, dof",
+        [(0.0, 1), (1e-300, 1), (2.0, 2), (7.5, 3), (40.0, 17), (1e3, 1000),
+         (4095.0, 4095), (4400.0, 4095), (1e6, 4095), (1e6, 1)],
+    )
+    def test_known_statistic(self, statistic, dof):
+        # dof + 1 unit-variance bins, all the deviation in the first
+        e = np.zeros(dof + 1)
+        e[0] = math.sqrt(statistic)
+        r = chi2_compare(np.zeros(dof + 1), e, np.ones(dof + 1))
+        assert r.statistic == pytest.approx(statistic, rel=1e-15)
+        assert r.dof == dof
+        # bit for bit the survival function of scipy.stats
+        assert r.pvalue == stats.chi2.sf(r.statistic, dof)
 
     def test_zero_variance_bins_skipped(self):
         o = np.array([1.0, 2.0, 3.0, 4.0])

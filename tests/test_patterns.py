@@ -130,10 +130,6 @@ class TestGeneralRoutes:
         closed = coincidence_pattern(complex(self.corr.psi), PERIOD, self.det)
         assert reldiff(gen.values, closed.values) < 1e-12
 
-    def test_requested_grid_must_match_kernel(self):
-        with pytest.raises(CompositionError):
-            intensity_general(self.h2, self.corr, self.slits, grid=fine_grid(n=257))
-
 
 class TestMarginalAndExcess:
     def test_marginal_integrates_to_one(self):

@@ -139,6 +139,15 @@ class TestJointFit:
         fit = fit_joint_visibility(corrupted, PERIOD, (~band).astype(float))
         assert fit.v12 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("b, c, v12", [(0.5, 0.1, 1.5), (0.1, 0.3, -2.0)])
+    def test_v12_is_not_clamped(self, b, c, v12):
+        # c_S = B and c_D = C on a pattern with no one-photon fringe
+        grid = fringe_grid(periods=8, n=320)
+        t = 2 * np.pi * grid.positions / PERIOD
+        g2 = 1.0 + b * np.cos(np.add.outer(t, t)) + c * np.cos(np.subtract.outer(t, t))
+        fit = fit_joint_visibility(JointPattern2D(grid, g2), PERIOD)
+        assert fit.v12 == pytest.approx(v12, rel=1e-9)
+
     def test_underdetermined(self):
         import warnings
 
@@ -250,9 +259,10 @@ class TestLstsqOracle:
         assert_close(fit.amp_diff, coef[3], scale)
         assert_close(fit.amp_single, np.hypot(coef[5], coef[6]), scale)
         assert_close(fit.residual, resid, resid)
-        shift = (coef[5] ** 2 + coef[6] ** 2) / (2 * coef[0])
-        b, c = coef[1] - shift, coef[3] - shift
-        assert_close(fit.v12, min(max((b + c) / (b - c), 0.0), 1.0), 1.0)
+        # v12 is (B + C) / (B - C) of the fit's own coefficients, unclamped
+        shift = fit.amp_single**2 / (2 * fit.offset)
+        b, c = fit.amp_sum - shift, fit.amp_diff - shift
+        assert_close(fit.v12, (b + c) / (b - c), (b + c) / (b - c))
 
     def test_masked_cells_are_never_read(self):
         grid = ORACLE_GRIDS["odd"]
