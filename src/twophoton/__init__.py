@@ -16,6 +16,7 @@ from .errors import (
     FrameFormatError,
     InvalidParameterError,
     NormalizationError,
+    StreamMismatchError,
     TwoPhotonError,
     UnderDeterminedFitError,
 )

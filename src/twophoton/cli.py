@@ -152,10 +152,10 @@ def cmd_pattern(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = build_config(args)
-    out = _out_dir(args)
-    frame_path = out / "frames.bifr"
     psi = analytic_summary(config).psi
     sim = build_simulator(config, psi=psi)
+    out = _out_dir(args)
+    frame_path = out / "frames.bifr"
     sim.write(frame_path)
     _write_sidecar(
         out / "frames.json",

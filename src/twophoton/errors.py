@@ -33,6 +33,10 @@ class EmptyEstimateError(TwoPhotonError, ValueError):
     """No accepted coincidence pairs; nothing to estimate."""
 
 
+class StreamMismatchError(TwoPhotonError, RuntimeError):
+    """numpy's random streams differ from the ones the block frame draw reproduces."""
+
+
 class FrameFormatError(TwoPhotonError, ValueError):
     """A frame file or its ``frames.json`` is malformed; may carry the byte offset."""
 

@@ -5,21 +5,54 @@ on the camera's pixel grid, thinned by the quantum efficiency, given a row
 inside the readout strip, and rendered as small above-threshold analog
 patches on the pixel raster, the way an intensified camera registers single
 photons.
+
+Frame ``k`` of a run reads its own numpy PCG64 stream, seeded by
+``SeedSequence(entropy=seed, spawn_key=(k,))``.  ``frame_events`` and
+``render_frame`` draw one frame through a ``np.random.Generator``: they are
+the reference.  ``FrameSimulator`` draws a whole block of frames at once
+with array arithmetic on the same streams, bit for bit:
+
+* the seed-only stages of the ``SeedSequence`` pool hash are computed once
+  per seed, and k is mixed in as uint32 arithmetic over every frame of the
+  block; PCG64's ``srandom_r`` seeding then runs on (hi, lo) uint64 limbs;
+* output word j of a stream is xsl_rr(A_j s + C_j inc) mod 2**128, with
+  A_j = M**j and C_j = sum of M**i for i < j (LCG jump-ahead: F. Brown,
+  Trans. Am. Nucl. Soc. 71, 1994); before each stage one pass fills the
+  words every frame's next draws read, and a word outside it is computed
+  where a frame needs it;
+* the words are decoded in numpy's draw order: doubles as
+  (u >> 11) * 2**-53, Poisson counts by its multiplication method,
+  uniforms as low + (high - low) * d, bounded integers from buffered
+  uint32 halves by Lemire's method, rejections included;
+* patches and dark pixels combine by maximum in one scatter of (pixel,
+  value) records.
+
+The block draw's domain: both Poisson rates below 10 (numpy switches to
+PTRS there), at most 2**32 frames (a frame index is one uint32 word of its
+seed), any seed >= 0.  Once per block one frame is replayed through a real
+``np.random.Generator``; a different final generator state raises
+``StreamMismatchError``, so a numpy whose streams changed cannot pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, StreamMismatchError
 from .frameio import write_frames
 from .optics import SpatialGrid
 from .patterns import JointPattern2D
 
 FULL_SCALE = 65535
+# numpy draws Poisson counts below this rate by its multiplication method
+POISSON_MULT_LIMIT = 10.0
+# frames drawn together by ``write`` and ``iter_frames``
+_BLOCK = 64
 
 
 def require_finite(record) -> None:
@@ -38,6 +71,8 @@ class CameraModel:
     ``neighbor_range`` fraction of that peak, so the peak pixel is the
     strict patch maximum.  Dark events are single above-threshold pixels,
     which the analysis's ``min_patch`` cut rejects unless patch_size is 1.
+    The quantum efficiency lies in (0, 1]: a camera that detects nothing
+    has no pair rate to estimate.
     """
 
     width: int = 512
@@ -58,8 +93,8 @@ class CameraModel:
             raise InvalidParameterError("frame width and height must be >= 2")
         if self.pitch <= 0:
             raise InvalidParameterError("pixel pitch must be positive")
-        if not 0 <= self.quantum_efficiency <= 1:
-            raise InvalidParameterError("quantum efficiency must be in [0, 1]")
+        if not 0 < self.quantum_efficiency <= 1:
+            raise InvalidParameterError("quantum efficiency must be in (0, 1]")
         if self.threshold < 0:
             raise InvalidParameterError("threshold must be >= 0")
         if self.dark_rate < 0:
@@ -193,15 +228,304 @@ def render_frame(
     return out
 
 
+# ---------------------------------------------------------------------------
+# PCG64 streams of a block of frames, by array arithmetic
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+# SeedSequence's hash constants (numpy bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64))
+
+
+def _hash_constants(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n (xor, multiply) constant pairs of a SeedSequence hash that
+    starts at ``const``, as uint32 columns."""
+    xor = []
+    for _ in range(n + 1):
+        xor.append(const)
+        const = const * mult & _M32
+    return np.array(xor[:-1], np.uint32)[:, None], np.array(xor[1:], np.uint32)[:, None]
+
+
+# generate_state(4, np.uint64) hashes the pool cyclically into eight uint32 words
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64 arrays."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    u = a1 * b0 + ((a0 * b0) >> 32)
+    v = a0 * b1 + (u & _M32)
+    return a1 * b1 + (u >> 32) + (v >> 32)
+
+
+def _mul128(a, x):
+    """a * x mod 2**128 for (hi, lo) pairs of uint64 arrays."""
+    (ahi, alo), (xhi, xlo) = a, x
+    return _mulhi64(alo, xlo) + ahi * xlo + alo * xhi, alo * xlo
+
+
+def _add128(a, b):
+    """a + b mod 2**128 for (hi, lo) pairs of uint64 arrays."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output: hi ^ lo rotated right by the state's top six bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _seed_pool(seed: int) -> tuple[np.ndarray, ...]:
+    """Constants of the last stage of ``SeedSequence(entropy=seed,
+    spawn_key=(k,))``'s pool hash, the only one k enters.
+
+    Every uint32 word of the seed is assembled, padded with zeros to the
+    four-word pool as numpy pads it when a spawn key follows, and mixed.
+    Mixing k into pool word d is then ``mix(pool[d], hashmix(k))``, that is
+    ``base[d] - MIX_MULT_R * v`` with ``v = (k ^ xor[d]) * mult[d]`` each
+    xor-shifted by 16; the three are returned as uint32 columns.
+    """
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ r >> 16
+
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    base = np.array([_MIX_MULT_L * w & _M32 for w in pool], np.uint32)[:, None]
+    return (*_hash_constants(const, _MULT_A, 4), base)
+
+
+def _pcg64_seeds(pool: tuple[np.ndarray, ...], k: np.ndarray):
+    """Seeded PCG64 (state, inc) of ``SeedSequence(entropy=seed,
+    spawn_key=(k,))`` for a uint32 array of frame indices k, each a (hi, lo)
+    pair of uint64 arrays; ``pool`` is ``_seed_pool(seed)``."""
+    xor, mult, base = pool
+    v = (k ^ xor) * mult
+    v = base - _MIX_MULT_R * (v ^ v >> 16)
+    mixed = np.tile(v ^ v >> 16, (2, 1))
+    xor, mult = _STATE_HASH
+    v = (mixed ^ xor) * mult
+    v = (v ^ v >> 16).astype(np.uint64)
+    w0, w1, w2, w3 = v[0::2] | v[1::2] << 32
+    # srandom_r: state 0, step (state = inc), add the seed (w0, w1), step
+    inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
+    return _add128(_mul128(_PCG_MULT_LIMBS, _add128(inc, (w0, w1))), inc), inc
+
+
+@lru_cache(maxsize=None)
+def _jump_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 limbs of A_0..A_{size-1} followed by C_0..C_{size-1}:
+    j LCG steps take a state s to A_j s + C_j inc mod 2**128."""
+    a, c, factors = 1, 0, [[], []]
+    for _ in range(size):
+        factors[0].append(a)
+        factors[1].append(c)
+        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
+    both = factors[0] + factors[1]
+    hi = np.array([v >> 64 for v in both], np.uint64)
+    lo = np.array([v & _M64 for v in both], np.uint64)
+    hi.flags.writeable = lo.flags.writeable = False  # shared by every caller
+    return hi, lo
+
+
+def _steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A jump table covering steps 0..n."""
+    return _jump_table(1 << max(n.bit_length(), 8))
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index within owner) of ``counts[i]`` items per owner i."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - start[owner]
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _poisson_chunk(lam: float) -> int:
+    """Doubles a Poisson(lam) draw reads in one pass; a count past it reads on."""
+    return int(lam + 4 * math.sqrt(lam)) + 2 if lam > 0 else 0
+
+
+class _BlockStreams:
+    """The PCG64 streams of a block of frames, read in numpy's draw order.
+
+    ``state`` and ``inc`` are the streams' seeded (hi, lo) uint64 limbs.
+    Word p of stream f is the (p+1)-th ``random_raw`` output of its
+    generator.  ``fill`` computes the words the next draws of every stream
+    will read in one jump-ahead pass; a word outside the last fill is
+    computed where a stream asks for it.  Each stream keeps its read
+    position ``pos`` and numpy's buffered uint32 half (``carry``, ``half``),
+    the ``has_uint32`` state of its generator.
+    """
+
+    def __init__(self, state, inc):
+        n = state[0].size
+        # every stream's state, then every stream's inc, as (hi, lo)
+        self.seeds = np.concatenate([state[0], inc[0]]), np.concatenate([state[1], inc[1]])
+        self.pos = np.zeros(n, dtype=np.int64)
+        self.carry = np.zeros(n, dtype=np.int64)
+        self.half = np.zeros(n, dtype=np.uint64)
+        # the filled words of stream f are at positions first[f] + i, i < count[f],
+        # and in ``filled[offset[f] + i]``
+        self.first = np.zeros(n, dtype=np.int64)
+        self.count = np.zeros(n, dtype=np.int64)
+        self.offset = np.zeros(n, dtype=np.int64)
+        self.filled = np.zeros(0, dtype=np.uint64)
+
+    def _jump(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Words p of streams f (1-d), by jump-ahead: A_{p+1} s_f and
+        C_{p+1} inc_f in one 128-bit product, then their sum."""
+        hi, lo = _steps(int(p.max(initial=0)) + 1)
+        step = p + 1
+        table = np.concatenate([step, step + hi.size // 2])
+        seed = np.concatenate([f, f + self.pos.size])
+        hi, lo = _mul128((hi[table], lo[table]), (self.seeds[0][seed], self.seeds[1][seed]))
+        return _xsl_rr(*_add128((hi[: p.size], lo[: p.size]), (hi[p.size :], lo[p.size :])))
+
+    def fill(self, count: np.ndarray) -> None:
+        """Compute the next ``count[f]`` words of every stream f."""
+        f, i = _ragged(count)
+        self.filled = self._jump(f, self.pos[f] + i)
+        self.first[:] = self.pos
+        self.count = count
+        self.offset = np.cumsum(count) - count
+
+    def words(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+        i = p - self.first[f]
+        hit = (i >= 0) & (i < self.count[f])
+        if hit.all():
+            return self.filled[self.offset[f] + i]
+        out = np.empty(p.shape, dtype=np.uint64)
+        out[hit] = self.filled[(self.offset[f] + i)[hit]]
+        out[~hit] = self._jump(f[~hit], p[~hit])
+        return out
+
+    def doubles(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return _doubles(self.words(f, p))
+
+    def final_state(self, f: int) -> tuple[int, int]:
+        """Stream f's generator (state, inc) after the words read so far."""
+        p, n = self.pos[f], self.pos.size
+        hi, lo = _steps(int(p))
+        a, c = ((int(hi[i]) << 64) | int(lo[i]) for i in (p, p + hi.size // 2))
+        state, inc = ((int(self.seeds[0][i]) << 64) | int(self.seeds[1][i]) for i in (f, f + n))
+        return (a * state + c * inc) & _M128, inc
+
+    def poisson(self, lam: float) -> np.ndarray:
+        """Poisson(lam) counts, lam < 10, of every stream by numpy's
+        multiplication method: the count is how many running products of
+        doubles stay above exp(-lam); the first at or below it ends the draw."""
+        count = np.zeros(self.pos.size, dtype=np.int64)
+        if lam == 0:
+            return count
+        limit, chunk = math.exp(-lam), _poisson_chunk(lam)
+        prod = np.ones(count.size)
+        live = np.arange(count.size)
+        while live.size:
+            p = (self.pos[live] + count[live])[:, None] + np.arange(chunk)
+            u = self.doubles(np.broadcast_to(live[:, None], p.shape), p)
+            run = np.cumprod(np.column_stack([prod[live], u]), axis=1)[:, 1:]
+            stop = run <= limit
+            done = stop.any(axis=1)
+            count[live] += np.where(done, stop.argmax(axis=1), chunk)
+            prod[live] = run[:, -1]
+            live = live[~done]
+        self.pos += count + 1
+        return count
+
+    def bounded(self, f: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
+        """``count[i]`` integers in [0, n) from stream ``f[i]``, as numpy's
+        ``integers`` draws them: buffered uint32 halves, low then high, through
+        Lemire's (u * n) >> 32, redrawing a half whose low product word falls
+        below 2**32 mod n.  One range (n = 1) reads nothing."""
+        if n == 1 or f.size == 0:
+            return np.zeros(int(count.sum()), dtype=np.int64)
+        threshold = (1 << 32) % n
+        take = count
+        while True:
+            owner, t = _ragged(take)
+            g = f[owner]
+            fresh = t - self.carry[g]
+            w = self.words(g, self.pos[g] + np.maximum(fresh, 0) // 2)
+            half = np.where(fresh & 1, w >> 32, w & _M32)
+            half = np.where(fresh < 0, self.half[g], half)
+            m = half * np.uint64(n)
+            ok = (m & _M32) >= threshold
+            if threshold == 0:
+                break
+            short = count - np.bincount(owner[ok], minlength=f.size)
+            if not short.any():
+                break
+            take = take + short
+        fresh = take - self.carry[f]
+        self.pos[f] += (fresh + 1) // 2
+        self.half[f] = np.where(fresh & 1, w[np.cumsum(take) - 1] >> 32, self.half[f])
+        self.carry[f] = fresh & 1
+        return (m[ok] >> 32).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _Records:
+    """The lit pixels of a block of frames.
+
+    ``(frame, pixel)`` are sorted and unique, frame counted from the block's
+    first and pixel a flat row-major index; ``value`` is the maximum of the
+    deposits on that pixel.  ``nonblank`` marks the frames holding a photon
+    or dark event, lit or not.
+    """
+
+    nonblank: np.ndarray
+    frame: np.ndarray
+    pixel: np.ndarray
+    value: np.ndarray
+
+
 @dataclass
 class FrameSimulator:
     """Deterministic frame stream for a joint coincidence density.
 
     The pattern must be sampled on ``camera.pixel_grid()``: its cells are the
     camera's pixel columns.  Frame ``k`` is a pure function of (pattern,
-    camera, mean_pairs, seed, k): every frame derives its own random
-    generator from the master seed and the frame index, so generation
+    camera, mean_pairs, seed, k): every frame reads its own PCG64 stream,
+    seeded by the master seed and the frame index, so generation
     parallelizes over frame ranges without changing the output.
+
+    Frames are drawn a block at a time by array arithmetic on those streams
+    (see the module docstring), equal bit for bit to ``frame_events`` and
+    ``render_frame`` frame by frame.  The domain is ``mean_pairs`` and
+    ``camera.dark_rate`` below 10, at most 2**32 frames and any seed >= 0;
+    outside it the constructor raises ``InvalidParameterError``.
     """
 
     pattern: JointPattern2D
@@ -210,16 +534,25 @@ class FrameSimulator:
     mean_pairs: float
     seed: int
     _cdf: np.ndarray = field(init=False, repr=False)
+    _pool: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if min(self.n_frames, self.seed) < 0 or not 0 <= self.mean_pairs < np.inf:
             raise InvalidParameterError("n_frames and seed must be >= 0, mean_pairs in [0, inf)")
+        if max(self.mean_pairs, self.camera.dark_rate) >= POISSON_MULT_LIMIT:
+            raise InvalidParameterError(
+                "mean_pairs and the camera's dark_rate must be below 10, where numpy "
+                "draws Poisson counts by its multiplication method"
+            )
+        if self.n_frames > 1 << 32:
+            raise InvalidParameterError("n_frames must be at most 2**32: a frame index is one uint32 word")
         if self.pattern.grid != self.camera.pixel_grid():
             raise InvalidParameterError(
                 f"pattern grid {self.pattern.grid} is not the camera's pixel grid "
                 f"{self.camera.pixel_grid()}"
             )
         self._cdf = _pair_cdf(self.pattern)
+        self._pool = _seed_pool(int(self.seed))
 
     def __len__(self) -> int:
         return self.n_frames
@@ -252,31 +585,149 @@ class FrameSimulator:
         n_dark = int(rng.poisson(cam.dark_rate))
         return events, n_dark, rng
 
+    def _draw_block(self, lo: int, hi: int) -> _Records:
+        """Records of frames ``lo..hi-1``, drawn together in numpy's order:
+        pair count, pair cells, two unused doubles per pair, detection,
+        strip rows, dark count, patches (peak, then each pixel inside the
+        frame), and per dark pixel its row, column and level."""
+        cam, n = self.camera, hi - lo
+        h, w = cam.height, cam.width
+        k = np.arange(lo, hi, dtype=np.int64).astype(np.uint32)
+        st = _BlockStreams(*_pcg64_seeds(self._pool, k))
+        st.fill(np.full(n, _poisson_chunk(self.mean_pairs)))
+        n_pairs = st.poisson(self.mean_pairs)
+        # cells, unused doubles and detection, at most a word of rows per pair, dark count
+        st.fill(6 * n_pairs + _poisson_chunk(cam.dark_rate))
+        pair_frame, j = _ragged(n_pairs)
+        base = st.pos[pair_frame]
+        cell = np.searchsorted(self._cdf, st.doubles(pair_frame, base + j), side="right")
+        cols = np.column_stack(np.divmod(np.minimum(cell, w * w - 1), w)).ravel()
+        photon_frame = np.repeat(pair_frame, 2)
+        q = (2 * j[:, None] + np.arange(2)).ravel()
+        detect = base.repeat(2) + 3 * n_pairs[photon_frame] + q
+        kept = st.doubles(photon_frame, detect) < cam.quantum_efficiency
+        st.pos += 5 * n_pairs
+        ev_frame, ev_col = photon_frame[kept], cols[kept]
+        n_events = np.bincount(ev_frame, minlength=n)
+        lit = np.flatnonzero(n_events)
+        ev_row = cam.strip_rows[0] + st.bounded(lit, n_events[lit], cam.strip_height)
+        n_dark = st.poisson(cam.dark_rate)
+
+        # patches: the peak double, then one per patch pixel inside the frame
+        half = cam.patch_size // 2
+        d = np.arange(-half, half + 1)
+        rr = ev_row[:, None] + np.repeat(d, d.size)
+        cc = ev_col[:, None] + np.tile(d, d.size)
+        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        size = 1 + inside.sum(axis=1)
+        patch_words = np.bincount(ev_frame, weights=size, minlength=n).astype(np.int64)
+        # two words per dark pixel: its uint32 row and column, then its level
+        st.fill(patch_words + 2 * n_dark)
+        before = np.cumsum(size) - size
+        first = np.cumsum(n_events) - n_events
+        start = st.pos[ev_frame] + before - before[first[ev_frame]]
+        plo, phi = cam.peak_range
+        peak = (plo + (phi - plo) * st.doubles(ev_frame, start)) * FULL_SCALE
+        e, o = np.nonzero(inside)
+        at = start[e] + np.cumsum(inside, axis=1)[e, o]
+        nlo, nhi = cam.neighbor_range
+        level = (nlo + (nhi - nlo) * st.doubles(ev_frame[e], at)) * peak[e]
+        center = o == d.size**2 // 2
+        level[center] = peak[e[center]]
+        st.pos += patch_words
+        frames, pixels, values = [ev_frame[e]], [rr[e, o] * w + cc[e, o]], [level.astype(np.uint16)]
+
+        # dark pixels, the i-th of every frame together: row, column, level
+        for i in range(int(n_dark.max(initial=0))):
+            g = np.flatnonzero(n_dark > i)
+            one = np.ones(g.size, dtype=np.int64)
+            r = st.bounded(g, one, h)
+            c = st.bounded(g, one, w)
+            u = st.doubles(g, st.pos[g])
+            st.pos[g] += 1
+            frames.append(g)
+            pixels.append(r * w + c)
+            # uniform(0.3, 1.0), as render_frame draws a dark level
+            values.append(((0.3 + (1.0 - 0.3) * u) * FULL_SCALE).astype(np.uint16))
+
+        self._check_stream(lo, st, ev_frame, ev_row, ev_col, n_dark)
+        key = np.concatenate(frames) * (h * w) + np.concatenate(pixels)
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        value = np.maximum.reduceat(np.concatenate(values)[order], first)
+        return _Records((n_events > 0) | (n_dark > 0), *np.divmod(key[first], h * w), value)
+
+    def _check_stream(self, lo, st, ev_frame, ev_row, ev_col, n_dark) -> None:
+        """Replay one frame through ``np.random.Generator``: its events, dark
+        count and final generator state must be the block draw's.  The frame
+        is the shortest stream among those with the most kinds of draw
+        (photons, dark pixels)."""
+        kinds = (np.bincount(ev_frame, minlength=n_dark.size) > 0).astype(int) + (n_dark > 0)
+        f = int(np.lexsort((st.pos, -kinds))[0])
+        events, dark, rng = self.frame_events(lo + f)
+        render_frame(events, self.camera, rng, dark, rows=(0, 0))
+        got = rng.bit_generator.state
+        state, inc = st.final_state(f)
+        carry = int(st.carry[f])
+        mine = ev_frame == f
+        if (
+            [(ev.row, ev.col) for ev in events] != list(zip(ev_row[mine].tolist(), ev_col[mine].tolist()))
+            or dark != n_dark[f]
+            or (got["state"]["state"], got["state"]["inc"], got["has_uint32"]) != (state, inc, carry)
+            or (carry and got["uinteger"] != int(st.half[f]))
+        ):
+            raise StreamMismatchError(
+                f"frame {lo + f}: numpy's PCG64 stream differs from the block draw "
+                f"(numpy {np.__version__})"
+            )
+
     def frame(self, k: int) -> np.ndarray:
-        events, n_dark, rng = self.frame_events(k)
-        return render_frame(events, self.camera, rng, n_dark)
+        if not 0 <= k < self.n_frames:
+            raise IndexError(k)
+        rec = self._draw_block(k, k + 1)
+        out = np.zeros(self.shape, dtype=np.uint16)
+        out.reshape(-1)[rec.pixel] = rec.value
+        return out
 
     def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of the non-blank frames in ``[lo, hi)``.
 
         A ``uint16[n, v1 - v0, width]`` array holding, in index order, the
         rows ``frame(k)[v0:v1]`` bit for bit of the ``n`` frames that hold a
-        photon or dark event.  Each frame's events are drawn once; blank
-        frames are not rendered at all.
+        photon or dark event.  Blank frames are not rendered at all.
         """
-        cam = self.camera
-        block = np.zeros((max(hi - lo, 0), rows[1] - rows[0], cam.width), dtype=np.uint16)
-        n = 0
-        for k in range(lo, hi):
-            events, n_dark, rng = self.frame_events(k)
-            if events or n_dark:
-                render_frame(events, cam, rng, n_dark, rows=rows, out=block[n])
-                n += 1
-        return block[:n]
+        v0, v1 = rows
+        if not (0 <= lo <= hi <= self.n_frames and 0 <= v0 <= v1 <= self.camera.height):
+            raise IndexError((lo, hi, rows))
+        w = self.camera.width
+        if lo == hi:
+            return np.zeros((0, v1 - v0, w), dtype=np.uint16)
+        rec = self._draw_block(lo, hi)
+        slot = np.cumsum(rec.nonblank) - 1
+        block = np.zeros((slot[-1] + 1, v1 - v0, w), dtype=np.uint16)
+        keep = (rec.pixel >= v0 * w) & (rec.pixel < v1 * w)
+        where = slot[rec.frame[keep]] * ((v1 - v0) * w) + rec.pixel[keep] - v0 * w
+        block.reshape(-1)[where] = rec.value[keep]
+        return block
+
+    def _frames(self):
+        """Every frame in index order, scattered from its block's records into
+        one reused buffer, valid until the next frame is drawn."""
+        buf = np.zeros(self.shape, dtype=np.uint16)
+        flat = buf.reshape(-1)
+        for lo in range(0, self.n_frames, _BLOCK):
+            hi = min(lo + _BLOCK, self.n_frames)
+            rec = self._draw_block(lo, hi)
+            ends = np.searchsorted(rec.frame, np.arange(hi - lo + 1))
+            for a, b in zip(ends[:-1], ends[1:]):
+                flat[rec.pixel[a:b]] = rec.value[a:b]
+                yield buf
+                flat[rec.pixel[a:b]] = 0
 
     def iter_frames(self):
-        for k in range(self.n_frames):
-            yield self.frame(k)
+        for frame in self._frames():
+            yield frame.copy()
 
     def write(self, path: str | Path) -> None:
         """Stream the whole run to a BIFR frame file."""
@@ -284,7 +735,6 @@ class FrameSimulator:
             path,
             self.camera.width,
             self.camera.height,
-            self.iter_frames(),
+            self._frames(),
             self.n_frames,
         )
-

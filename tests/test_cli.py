@@ -140,7 +140,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("threshold", -0.1), ("dark_rate", -1), ("pitch", 0), ("pitch", -24e-6)],
+        [("threshold", -0.1), ("dark_rate", -1), ("pitch", 0), ("pitch", -24e-6),
+         ("quantum_efficiency", 0)],
     )
     def test_bad_camera_key_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.cfg", n_frames=5, **{key: value})
@@ -152,7 +153,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", -1), ("mean_pairs", "nan"), ("mean_pairs", "inf"), ("dark_rate", "nan"),
-         ("pitch", "inf"), ("threshold", "nan"), ("wavelength", "inf"), ("pump_grid_n", 0)],
+         ("pitch", "inf"), ("threshold", "nan"), ("wavelength", "inf"), ("pump_grid_n", 0),
+         ("mean_pairs", 10), ("dark_rate", 10)],
     )
     def test_bad_run_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.cfg", n_frames=5, **{key: value})
@@ -161,6 +163,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err
         assert not (out / "frames.bifr").exists()
+
+    def test_rejected_run_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "d" / "run"
+        assert main(["simulate", "--seed", "-1", "--frames", "5", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_different_seed_differs(self, tmp_path):
         digests = []

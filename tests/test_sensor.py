@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from twophoton.errors import InvalidParameterError
+from twophoton import sensor
+from twophoton.errors import InvalidParameterError, StreamMismatchError
+from twophoton.frameio import write_frames
 from twophoton.optics import SpatialGrid
 from twophoton.patterns import JointPattern2D
 from twophoton.sensor import (
@@ -13,8 +16,14 @@ from twophoton.sensor import (
     FrameSimulator,
     PhotonEvent,
     apply_detection,
+    _add128,
+    _BlockStreams,
+    _mul128,
     _pair_cdf,
+    _pcg64_seeds,
     _sample_from_cdf,
+    _seed_pool,
+    _xsl_rr,
     render_frame,
 )
 
@@ -72,6 +81,7 @@ class TestCameraModel:
             {"dark_rate": -1.0},
             {"width": 1},
             {"height": 1, "strip_rows": (0, 0)},
+            {"quantum_efficiency": 0.0},
         ],
     )
     def test_invalid_inputs_raise_package_error(self, kwargs):
@@ -278,19 +288,6 @@ class TestFrameSimulator:
         assert block.shape == want.shape == (len(nonblank), 36, 512)
         assert np.array_equal(block, want)
 
-    def test_strip_block_draws_each_frame_once(self, monkeypatch):
-        sim = self.make_sim(mean_pairs=1.0)
-        drawn = []
-        original = FrameSimulator.frame_events
-
-        def counting(self, k):
-            drawn.append(k)
-            return original(self, k)
-
-        monkeypatch.setattr(FrameSimulator, "frame_events", counting)
-        sim.strip_block(10, 60, (240, 272))
-        assert drawn == list(range(10, 60))
-
     def test_write_roundtrip(self, tmp_path):
         from twophoton.frameio import FrameFileReader
 
@@ -318,3 +315,180 @@ class TestFrameSimulator:
         for k, p in enumerate((p0, p1, p2)):
             sigma = np.sqrt(n_frames * p * (1 - p))
             assert counts[k] == pytest.approx(n_frames * p, abs=4 * sigma)
+
+
+M64, M128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def limbs(values):
+    """(hi, lo) uint64 arrays of Python ints below 2**128."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & M64 for v in values], dtype=np.uint64))
+
+
+def join(pair):
+    return [(int(h) << 64) | int(w) for h, w in zip(*pair)]
+
+
+def reference_frames(sim, lo, hi):
+    """(non-blank, frame) of frames lo..hi-1 by ``frame_events`` and
+    ``render_frame``, frame by frame: the oracle of the block draw."""
+    out = []
+    for k in range(lo, hi):
+        events, n_dark, rng = sim.frame_events(k)
+        out.append((bool(events or n_dark), render_frame(events, sim.camera, rng, n_dark)))
+    return out
+
+
+# camera, mean_pairs, seed; every case is drawn in 30 blocks of 8 frames
+BLOCK_CASES = {
+    "no pairs": (CameraModel(), 0.0, 3),
+    "closure": (CameraModel(), 0.5, 2**40),
+    "bright": (CameraModel(), 3.0, 11),
+    "mean_pairs 8": (CameraModel(width=64, height=64, strip_rows=(16, 47)), 8.0, 12),
+    # a 30-row strip draws rows through Lemire's rejection test (2**32 mod 30 = 16)
+    "mean_pairs 9.5, no darks, strip at row 0": (
+        CameraModel(width=64, height=48, strip_rows=(0, 29), dark_rate=0.0), 9.5, 13),
+    "width 3, strip at the last row": (
+        CameraModel(width=3, height=40, strip_rows=(10, 39), dark_rate=2.0), 3.0, 14),
+    "one-pixel patches, one-row strip, many darks": (
+        CameraModel(width=33, height=31, strip_rows=(30, 30), patch_size=1, dark_rate=9.5), 4.0, 15),
+    "5x5 patches, every photon detected": (
+        CameraModel(width=40, height=24, strip_rows=(0, 23), patch_size=5, quantum_efficiency=1.0), 2.0, 16),
+}
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_block_draw_equals_per_frame_path(self, case, tmp_path):
+        cam, mean_pairs, seed = BLOCK_CASES[case]
+        block, n_frames = 8, 240
+        sim = FrameSimulator(make_pdf(cam.pixel_grid()), cam, n_frames, mean_pairs, seed)
+        ref = reference_frames(sim, 0, n_frames)
+        r0, r1 = cam.strip_rows
+        windows = [(0, cam.height), (max(r0 - 2, 0), min(r1 + 3, cam.height)), (r1, r1 + 1)]
+        for lo in range(0, n_frames, block):
+            nonblank = [frame for lit, frame in ref[lo : lo + block] if lit]
+            for v0, v1 in windows:
+                got = sim.strip_block(lo, lo + block, (v0, v1))
+                assert got.shape == (len(nonblank), v1 - v0, cam.width)
+                assert all(np.array_equal(g, f[v0:v1]) for g, f in zip(got, nonblank))
+            assert np.array_equal(sim.frame(lo + 5), ref[lo + 5][1])
+        sim.write(tmp_path / "block.bifr")
+        write_frames(tmp_path / "oracle.bifr", cam.width, cam.height, (f for _, f in ref), n_frames)
+        assert (tmp_path / "block.bifr").read_bytes() == (tmp_path / "oracle.bifr").read_bytes()
+
+    def test_blocks_hold_photons_and_darks(self):
+        # the cases above exercise what they claim: pairs, darks, carried halves
+        cam, mean_pairs, seed = BLOCK_CASES["width 3, strip at the last row"]
+        sim = FrameSimulator(make_pdf(cam.pixel_grid()), cam, 240, mean_pairs, seed)
+        drawn = [sim.frame_events(k) for k in range(240)]
+        assert sum(len(ev) for ev, _, _ in drawn) > 300
+        assert sum(n for _, n, _ in drawn) > 300
+        assert any(rng.bit_generator.state["has_uint32"] for _, _, rng in drawn)
+
+    def test_blank_block(self):
+        cam = CameraModel(dark_rate=0.0)
+        sim = FrameSimulator(make_pdf(PIXELS), cam, 64, 0.0, 1)
+        assert sim.strip_block(0, 64, (240, 272)).shape == (0, 32, 512)
+        assert sim.strip_block(7, 7, (0, 512)).shape == (0, 512, 512)
+        assert not sim.frame(3).any()
+
+    def test_frame_range_checked(self):
+        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 10, 0.5, 1)
+        for bad in (-1, 10):
+            with pytest.raises(IndexError):
+                sim.frame(bad)
+        with pytest.raises(IndexError):
+            sim.strip_block(5, 11, (0, 512))
+        with pytest.raises(IndexError):
+            sim.strip_block(0, 5, (0, 513))
+
+    @pytest.mark.parametrize("mean_pairs, dark_rate", [(10.0, 0.05), (0.5, 10.0), (25.0, 0.0)])
+    def test_poisson_rates_of_ten_or_more_rejected(self, mean_pairs, dark_rate):
+        cam = CameraModel(dark_rate=dark_rate)
+        with pytest.raises(InvalidParameterError, match="below 10"):
+            FrameSimulator(make_pdf(PIXELS), cam, 10, mean_pairs, 1)
+
+    def test_frame_count_above_two_to_the_32_rejected(self):
+        pdf = make_pdf(PIXELS)
+        assert len(FrameSimulator(pdf, CameraModel(), 2**32, 0.5, 1)) == 2**32
+        with pytest.raises(InvalidParameterError, match="uint32"):
+            FrameSimulator(pdf, CameraModel(), 2**32 + 1, 0.5, 1)
+
+    def test_last_frame_index(self):
+        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 2**32, 3.0, 8)
+        k = 2**32 - 1
+        events, n_dark, rng = sim.frame_events(k)
+        assert np.array_equal(sim.frame(k), render_frame(events, sim.camera, rng, n_dark))
+
+    def test_tampered_check_frame_raises(self, monkeypatch):
+        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 64, 3.0, 5)
+        detect = sensor.apply_detection
+
+        def tampered(cells, quantum_efficiency, rng):
+            rng.random()  # one more double shifts the rest of the frame's stream
+            return detect(cells, quantum_efficiency, rng)
+
+        monkeypatch.setattr(sensor, "apply_detection", tampered)
+        with pytest.raises(StreamMismatchError, match="PCG64"):
+            sim.strip_block(0, 64, (240, 272))
+
+
+class TestBlockArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, M128)] * 3), min_size=1, max_size=6))
+    def test_mul_add128(self, triples):
+        a, x, c = zip(*triples)
+        got = join(_add128(_mul128(limbs(a), limbs(x)), limbs(c)))
+        assert got == [(ai * xi + ci) & M128 for ai, xi, ci in triples]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, M128), min_size=1, max_size=6))
+    def test_xsl_rr(self, states):
+        def reference(s):
+            x, rot = ((s >> 64) ^ s) & M64, s >> 122
+            return ((x >> rot) | (x << (64 - rot))) & M64
+
+        assert _xsl_rr(*limbs(states)).tolist() == [reference(s) for s in states]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**200), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    def test_seeding_matches_numpy(self, seed, ks):
+        state, inc = _pcg64_seeds(_seed_pool(seed), np.array(ks, dtype=np.uint32))
+        for k, s, i in zip(ks, join(state), join(inc)):
+            bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,)))
+            assert bits.state["state"] == {"state": s, "inc": i}
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40, 2**130 + 1])
+    def test_words_match_random_raw(self, seed):
+        ks = [0, 1, 77, 2**32 - 1]
+        streams = _BlockStreams(*_pcg64_seeds(_seed_pool(seed), np.array(ks, dtype=np.uint32)))
+        # words 0-6 come from a fill, the rest by jump-ahead where they are asked for
+        streams.fill(np.full(len(ks), 7))
+        p = np.arange(300)
+        for f, k in enumerate(ks):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).random_raw(300)
+            assert np.array_equal(streams.words(np.full(300, f), p), want)
+
+    def test_rejected_half_is_redrawn(self):
+        # n = 30 rejects a half u whose (u * 30) mod 2**32 is below 2**32 mod 30 = 16.
+        # The generator's next word is hand-built: low half 0, so rejected.
+        n, inc, word = 30, (0x5851F42D4C957F2D << 64) | 0x14057B7EF767814F, 0xDEADBEEF << 32
+        hi = 0x0123456789ABCDEF  # top six bits 0: xsl_rr does not rotate
+        after = (hi << 64) | (hi ^ word)
+        before = (after - inc) * pow(sensor._PCG_MULT, -1, 1 << 128) & M128
+        bits = np.random.PCG64()
+        bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        assert bits.random_raw() == word
+        bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        want = np.random.Generator(bits).integers(0, n, size=2)
+        streams = _BlockStreams(limbs([before]), limbs([inc]))
+        got = streams.bounded(np.array([0]), np.array([2]), n)
+        # the rejected half, then the high half 0xDEADBEEF and the next low half
+        assert got.tolist() == want.tolist() == [(0xDEADBEEF * n) >> 32, got[1]]
+        assert streams.final_state(0) == (bits.state["state"]["state"], inc)
+        assert (streams.carry[0], streams.half[0]) == (bits.state["has_uint32"], bits.state["uinteger"])
+        assert streams.carry[0] == 1
