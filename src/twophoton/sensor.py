@@ -368,10 +368,6 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) - start[owner]
 
 
-def _doubles(words: np.ndarray) -> np.ndarray:
-    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
-
-
 def _poisson_chunk(lam: float) -> int:
     """Doubles a Poisson(lam) draw reads in one pass; a count past it reads on."""
     return int(lam + 4 * math.sqrt(lam)) + 2 if lam > 0 else 0
@@ -432,7 +428,8 @@ class _BlockStreams:
         return out
 
     def doubles(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return _doubles(self.words(f, p))
+        """numpy's doubles from words p of streams f: (u >> 11) * 2**-53."""
+        return (self.words(f, p) >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
     def final_state(self, f: int) -> tuple[int, int]:
         """Stream f's generator (state, inc) after the words read so far."""
@@ -455,7 +452,8 @@ class _BlockStreams:
         while live.size:
             p = (self.pos[live] + count[live])[:, None] + np.arange(chunk)
             u = self.doubles(np.broadcast_to(live[:, None], p.shape), p)
-            run = np.cumprod(np.column_stack([prod[live], u]), axis=1)[:, 1:]
+            u[:, 0] *= prod[live]
+            run = np.cumprod(u, axis=1)
             stop = run <= limit
             done = stop.any(axis=1)
             count[live] += np.where(done, stop.argmax(axis=1), chunk)
@@ -465,7 +463,7 @@ class _BlockStreams:
         return count
 
     def bounded(self, f: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
-        """``count[i]`` integers in [0, n) from stream ``f[i]``, as numpy's
+        """``count[i]`` >= 1 integers in [0, n) from stream ``f[i]``, as numpy's
         ``integers`` draws them: buffered uint32 halves, low then high, through
         Lemire's (u * n) >> 32, redrawing a half whose low product word falls
         below 2**32 mod n.  One range (n = 1) reads nothing."""

@@ -471,6 +471,18 @@ class TestBlockArithmetic:
             want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).random_raw(300)
             assert np.array_equal(streams.words(np.full(300, f), p), want)
 
+    def test_poisson_reads_past_its_first_pass(self):
+        # at the default dark rate one pass reads 2 doubles; about 1 stream
+        # in 800 draws a count of 2 or more and reads on
+        lam, ks = 0.05, np.arange(4000, dtype=np.uint32)
+        streams = _BlockStreams(*_pcg64_seeds(_seed_pool(21), ks))
+        got = streams.poisson(lam)
+        assert np.count_nonzero(got >= sensor._poisson_chunk(lam)) >= 2
+        for k in ks:
+            bits = np.random.PCG64(np.random.SeedSequence(21, spawn_key=(int(k),)))
+            assert np.random.Generator(bits).poisson(lam) == got[k]
+            assert bits.state["state"]["state"] == streams.final_state(int(k))[0]
+
     def test_rejected_half_is_redrawn(self):
         # n = 30 rejects a half u whose (u * 30) mod 2**32 is below 2**32 mod 30 = 16.
         # The generator's next word is hand-built: low half 0, so rejected.
