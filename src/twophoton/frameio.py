@@ -84,7 +84,8 @@ def write_frames(
     frame_count: int,
 ) -> None:
     """Write a BIFR file, streaming frames in index order.  Raises ENOSPC before
-    opening it when its directory, counting a file it replaces, lacks room."""
+    opening it when its directory, counting a file it replaces, lacks room.
+    If anything raises once the file is open, the file is deleted."""
     header = FrameFileHeader(width, height, frame_count)
     path = Path(path)
     need = HEADER_SIZE + frame_count * header.frame_bytes
@@ -93,18 +94,24 @@ def write_frames(
         raise OSError(errno.ENOSPC, f"the frame file needs {need} bytes, {free} free", str(path))
     written = 0
     with open(path, "wb") as f:
-        f.write(header.pack())
-        for frame in frames:
-            if frame.shape != (height, width):
+        try:
+            f.write(header.pack())
+            for frame in frames:
+                if frame.shape != (height, width):
+                    raise FrameFormatError(
+                        f"frame {written} has shape {frame.shape}, expected {(height, width)}"
+                    )
+                f.write(np.ascontiguousarray(frame, dtype="<u2").tobytes())
+                written += 1
+            if written != frame_count:
                 raise FrameFormatError(
-                    f"frame {written} has shape {frame.shape}, expected {(height, width)}"
+                    f"wrote {written} frames but the header promised {frame_count}"
                 )
-            f.write(np.ascontiguousarray(frame, dtype="<u2").tobytes())
-            written += 1
-    if written != frame_count:
-        raise FrameFormatError(
-            f"wrote {written} frames but the header promised {frame_count}"
-        )
+        except BaseException:
+            # a partial file would contradict its own header
+            f.close()
+            path.unlink()
+            raise
 
 
 class FrameFileReader:
@@ -131,9 +138,17 @@ class FrameFileReader:
         return self.header.height, self.header.width
 
     def frame(self, k: int) -> np.ndarray:
-        return self.strip_block(k, k + 1, (0, self.header.height))[0]
+        return self._strip_block(k, k + 1, (0, self.header.height))[0]
 
-    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
+    def strip_records(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Nonzero pixels of ``_strip_block`` as the records that
+        ``framepipe.analyze_source`` reads."""
+        block = self._strip_block(lo, hi, rows)
+        # numpy finds the nonzero entries of a bool mask far faster than of uint16
+        key = np.flatnonzero(block != 0)
+        return key, block.ravel()[key]
+
+    def _strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.
 
         Returns a ``uint16[hi - lo, v1 - v0, width]`` array; only the bytes

@@ -1,4 +1,4 @@
-"""Frame-by-frame data reduction: from analog frames to a G2 estimate.
+"""Data reduction: from the lit pixels of analog frames to a G2 estimate.
 
 Every step reads the ``CameraModel`` whose frames it reduces.  Each frame
 is thresholded, 8-connected above-threshold patches of at least the
@@ -17,9 +17,10 @@ observed.  ``marginal_consistency`` tests the G2 marginal against the
 singles histogram by chi-square, with ``scipy.special.chdtrc`` as p-value.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
-only, and labels just the lit (above-threshold) pixels of a block: they are
-joined to their lit 8-neighbours found by ``searchsorted`` in the sorted
-flat indices, and each connected component of that sparse graph is a patch.
+only, from the records a source gives of each block's lit pixels: sorted
+flat indices and their values.  The records above threshold are joined to
+their lit 8-neighbours found by ``searchsorted`` in the sorted indices, and
+each connected component of that sparse graph is a patch.
 ``process_frame``, which labels each dense frame with ``ndimage.label``, is
 the per-frame reference it must equal.
 """
@@ -34,11 +35,9 @@ from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
 from .patterns import JointPattern2D
-from .sensor import FULL_SCALE, CameraModel, PhotonEvent
+from .sensor import _BLOCK, FULL_SCALE, CameraModel, PhotonEvent
 
 _CONN8 = np.ones((3, 3), dtype=int)
-# frames drawn, rendered and labelled together; results do not depend on it
-_BLOCK = 64
 # the vertical filter keeps a pair iff |delta row| < RATIO * |delta col|
 RATIO = 1.0 / 3.0
 
@@ -436,23 +435,25 @@ class AnalysisResult:
 
 
 def _block_events(
-    frames: np.ndarray, v0: int, cam: CameraModel
+    key: np.ndarray, value: np.ndarray, cam: CameraModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-strip photon events of a block as (frame, row, col), by frame.
 
-    ``frames[n]`` holds frame rows v0, v0+1, ...  Same events as
-    ``detect_photons`` frame by frame: each 8-connected patch of at least
-    ``cam.min_patch`` pixels, located at its analog maximum with ties to the
-    smallest (row, col).
+    ``(key, value)`` are a source's records of the ``_strip_window`` rows
+    (see ``analyze_source``).  Same events as ``detect_photons`` frame by
+    frame: each 8-connected patch of at least ``cam.min_patch`` pixels,
+    located at its analog maximum with ties to the smallest (row, col).
 
-    Only the lit (above-threshold) pixels are labelled.  Each is joined to
+    Only the lit (above-threshold) records are labelled.  Each is joined to
     its lit forward neighbours (0, +1), (+1, -1), (+1, 0) and (+1, +1),
     found by ``searchsorted`` in the sorted flat indices; the column and row
     masks keep an edge from wrapping across a row end or into the next
     frame.  The patches are the connected components of that graph.
     """
-    _, h, w = frames.shape
-    pix = np.flatnonzero(frames > cam.threshold_analog)
+    v0, v1 = _strip_window(cam)
+    h, w = v1 - v0, cam.width
+    lit = value > cam.threshold_analog
+    pix, level = key[lit], value[lit]
     if pix.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
@@ -474,8 +475,9 @@ def _block_events(
         dst.append(nbr[hit])
     src, dst = np.concatenate(src), np.concatenate(dst)
     graph = sparse.csr_array((np.ones(src.size), (src, dst)), shape=(pix.size, pix.size))
+    del src, dst  # the graph holds the edges; a fully lit block has 4 per pixel
     _, lab = csgraph.connected_components(graph, directed=False)
-    order = np.lexsort((pix, -frames.ravel()[pix].astype(np.int32), lab))
+    order = np.lexsort((pix, -level.astype(np.int32), lab))
     lab = lab[order]
     head = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
     sizes = np.diff(np.r_[head, lab.size])
@@ -492,8 +494,7 @@ def _reduce_range(
 ) -> CoincidenceAccumulator:
     """Reduce frames ``lo..hi-1`` block by block into a new accumulator.
 
-    Equal to ``process_frame`` on every frame, for any block size.  Frames a
-    source leaves out of its ``strip_block`` are blank and count as empty.
+    Equal to ``process_frame`` on every frame, for any block size.
     """
     width = cam.width
     rows = _strip_window(cam)
@@ -502,9 +503,9 @@ def _reduce_range(
     singles = [np.empty(0, dtype=np.int64)]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for b0 in range(lo, hi, block):
-        frames = source.strip_block(b0, min(b0 + block, hi), rows)
-        f, row, col = _block_events(frames, rows[0], cam)
-        per_frame = np.bincount(f, minlength=len(frames))
+        b1 = min(b0 + block, hi)
+        f, row, col = _block_events(*source.strip_records(b0, b1, rows), cam)
+        per_frame = np.bincount(f, minlength=b1 - b0)
         acc.frames_single += int(np.count_nonzero(per_frame == 1))
         acc.frames_pair += int(np.count_nonzero(per_frame == 2))
         acc.frames_multi += int(np.count_nonzero(per_frame > 2))
@@ -527,7 +528,10 @@ def analyze_source(source, camera: CameraModel, workers: int = 1) -> AnalysisRes
     """Reduce a frame source (BIFR reader or simulator) of ``camera``.
 
     A source has a ``shape = (height, width)``, which must be the camera's,
-    a length, and ``strip_block(lo, hi, rows)``.
+    a length, and ``strip_records(lo, hi, rows)``: rows ``rows = (v0, v1)``
+    of frames ``lo..hi-1`` as records ``(key, value)``, sorted, unique int64
+    flat indices into the ``(hi - lo, v1 - v0, width)`` block and their
+    uint16 values; every pixel not listed is 0.
     Frames are split into ``workers`` contiguous index ranges, each reduced
     on the calling thread into a private accumulator and merged in index
     order — the result is identical for any worker count.

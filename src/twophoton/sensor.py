@@ -24,8 +24,9 @@ with array arithmetic on the same streams, bit for bit:
   (u >> 11) * 2**-53, Poisson counts by its multiplication method,
   uniforms as low + (high - low) * d, bounded integers from buffered
   uint32 halves by Lemire's method, rejections included;
-* patches and dark pixels combine by maximum in one scatter of (pixel,
-  value) records.
+* patches and dark pixels combine by maximum into sorted, unique (flat
+  index, value) records of the block's lit pixels.  ``strip_records`` hands
+  them to the reduction; only ``frame`` and ``write`` build dense frames.
 
 The block draw's domain: both Poisson rates below 10 (numpy switches to
 PTRS there), at most 2**32 frames (a frame index is one uint32 word of its
@@ -51,7 +52,7 @@ from .patterns import JointPattern2D
 FULL_SCALE = 65535
 # numpy draws Poisson counts below this rate by its multiplication method
 POISSON_MULT_LIMIT = 10.0
-# frames drawn together by ``write`` and ``iter_frames``
+# frames drawn, rendered and labelled together; results do not depend on it
 _BLOCK = 64
 
 
@@ -185,7 +186,6 @@ def render_frame(
     rng: np.random.Generator,
     n_dark: int = 0,
     rows: tuple[int, int] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Render photon events and dark spikes into a uint16 analog frame.
 
@@ -196,16 +196,11 @@ def render_frame(
     ``rows = (v0, v1)`` renders only frame rows v0..v1-1: the random draws
     are those of the whole frame, so the result equals ``frame[v0:v1]`` of
     the full rendering bit for bit.  The default window is the whole frame.
-    ``out``, if given, is a zeroed uint16 array of the window's shape that
-    receives the rendering.
     """
     v0, v1 = (0, camera.height) if rows is None else rows
     if not 0 <= v0 <= v1 <= camera.height:
         raise InvalidParameterError(f"row window {rows} outside the frame")
-    if out is None:
-        out = np.zeros((v1 - v0, camera.width), dtype=np.uint16)
-    elif out.shape != (v1 - v0, camera.width) or out.dtype != np.uint16:
-        raise InvalidParameterError("out must be a uint16 array of the window's shape")
+    out = np.zeros((v1 - v0, camera.width), dtype=np.uint16)
     half = camera.patch_size // 2
     for ev in events:
         if not (0 <= ev.row < camera.height and 0 <= ev.col < camera.width):
@@ -493,22 +488,6 @@ class _BlockStreams:
         return (m[ok] >> 32).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class _Records:
-    """The lit pixels of a block of frames.
-
-    ``(frame, pixel)`` are sorted and unique, frame counted from the block's
-    first and pixel a flat row-major index; ``value`` is the maximum of the
-    deposits on that pixel.  ``nonblank`` marks the frames holding a photon
-    or dark event, lit or not.
-    """
-
-    nonblank: np.ndarray
-    frame: np.ndarray
-    pixel: np.ndarray
-    value: np.ndarray
-
-
 @dataclass
 class FrameSimulator:
     """Deterministic frame stream for a joint coincidence density.
@@ -583,11 +562,12 @@ class FrameSimulator:
         n_dark = int(rng.poisson(cam.dark_rate))
         return events, n_dark, rng
 
-    def _draw_block(self, lo: int, hi: int) -> _Records:
-        """Records of frames ``lo..hi-1``, drawn together in numpy's order:
-        pair count, pair cells, two unused doubles per pair, detection,
-        strip rows, dark count, patches (peak, then each pixel inside the
-        frame), and per dark pixel its row, column and level."""
+    def _draw_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``strip_records`` of every row of frames ``lo..hi-1``, drawn
+        together in numpy's order: pair count, pair cells, two unused doubles
+        per pair, detection, strip rows, dark count, patches (peak, then each
+        pixel inside the frame), and per dark pixel its row, column and
+        level."""
         cam, n = self.camera, hi - lo
         h, w = cam.height, cam.width
         k = np.arange(lo, hi, dtype=np.int64).astype(np.uint32)
@@ -654,7 +634,7 @@ class FrameSimulator:
         key = key[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
         value = np.maximum.reduceat(np.concatenate(values)[order], first)
-        return _Records((n_events > 0) | (n_dark > 0), *np.divmod(key[first], h * w), value)
+        return key[first], value
 
     def _check_stream(self, lo, st, ev_frame, ev_row, ev_col, n_dark) -> None:
         """Replay one frame through ``np.random.Generator``: its events, dark
@@ -681,33 +661,26 @@ class FrameSimulator:
             )
 
     def frame(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.n_frames:
-            raise IndexError(k)
-        rec = self._draw_block(k, k + 1)
+        key, value = self.strip_records(k, k + 1, (0, self.camera.height))
         out = np.zeros(self.shape, dtype=np.uint16)
-        out.reshape(-1)[rec.pixel] = rec.value
+        out.reshape(-1)[key] = value
         return out
 
-    def strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
-        """Rows ``rows = (v0, v1)`` of the non-blank frames in ``[lo, hi)``.
-
-        A ``uint16[n, v1 - v0, width]`` array holding, in index order, the
-        rows ``frame(k)[v0:v1]`` bit for bit of the ``n`` frames that hold a
-        photon or dark event.  Blank frames are not rendered at all.
-        """
+    def strip_records(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Records ``(key, value)`` of rows ``rows = (v0, v1)`` of frames
+        ``lo..hi-1``, as ``framepipe.analyze_source`` reads them: sorted,
+        unique int64 flat indices into the ``(hi - lo, v1 - v0, width)``
+        block and the uint16 values of those pixels; every other pixel is 0."""
         v0, v1 = rows
-        if not (0 <= lo <= hi <= self.n_frames and 0 <= v0 <= v1 <= self.camera.height):
+        h, w = self.shape
+        if not (0 <= lo <= hi <= self.n_frames and 0 <= v0 <= v1 <= h):
             raise IndexError((lo, hi, rows))
-        w = self.camera.width
         if lo == hi:
-            return np.zeros((0, v1 - v0, w), dtype=np.uint16)
-        rec = self._draw_block(lo, hi)
-        slot = np.cumsum(rec.nonblank) - 1
-        block = np.zeros((slot[-1] + 1, v1 - v0, w), dtype=np.uint16)
-        keep = (rec.pixel >= v0 * w) & (rec.pixel < v1 * w)
-        where = slot[rec.frame[keep]] * ((v1 - v0) * w) + rec.pixel[keep] - v0 * w
-        block.reshape(-1)[where] = rec.value[keep]
-        return block
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint16)
+        key, value = self._draw_block(lo, hi)
+        f, pixel = np.divmod(key, h * w)
+        keep = (pixel >= v0 * w) & (pixel < v1 * w)
+        return f[keep] * ((v1 - v0) * w) + pixel[keep] - v0 * w, value[keep]
 
     def _frames(self):
         """Every frame in index order, scattered from its block's records into
@@ -716,16 +689,14 @@ class FrameSimulator:
         flat = buf.reshape(-1)
         for lo in range(0, self.n_frames, _BLOCK):
             hi = min(lo + _BLOCK, self.n_frames)
-            rec = self._draw_block(lo, hi)
-            ends = np.searchsorted(rec.frame, np.arange(hi - lo + 1))
-            for a, b in zip(ends[:-1], ends[1:]):
-                flat[rec.pixel[a:b]] = rec.value[a:b]
+            key, value = self._draw_block(lo, hi)
+            starts = np.arange(hi - lo + 1) * flat.size
+            ends = np.searchsorted(key, starts)
+            for start, a, b in zip(starts, ends[:-1], ends[1:]):
+                pixel = key[a:b] - start
+                flat[pixel] = value[a:b]
                 yield buf
-                flat[rec.pixel[a:b]] = 0
-
-    def iter_frames(self):
-        for frame in self._frames():
-            yield frame.copy()
+                flat[pixel] = 0
 
     def write(self, path: str | Path) -> None:
         """Stream the whole run to a BIFR frame file."""

@@ -25,6 +25,10 @@ merge into one patch, is a two-event frame too.  At mean_pairs 2 to 3 the
 oracle predicts about 1.3% fewer accepted pairs than the Monte Carlo makes,
 an offset that a Poisson test of the pair count resolves at about 300,000
 frames.  Dark pixels touching a patch are rare enough to leave out.
+
+``records`` and ``scatter`` convert between dense uint16 frames and the
+``(key, value)`` records a frame source hands ``framepipe.analyze_source``,
+with plain numpy indexing.
 """
 
 import numpy as np
@@ -32,6 +36,21 @@ import numpy as np
 from twophoton.experiment import joint_pdf
 from twophoton.framepipe import CoincidenceAccumulator, accidental_fraction, vertical_acceptance
 from twophoton.patterns import _roi_slice
+
+
+def records(frames: np.ndarray, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The records of rows ``rows = (v0, v1)`` of a stack of dense frames:
+    the flat indices of its nonzero pixels and their values."""
+    block = np.ascontiguousarray(frames[:, rows[0] : rows[1]])
+    key = np.flatnonzero(block)
+    return key, block.ravel()[key]
+
+
+def scatter(key: np.ndarray, value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The dense uint16 block of ``shape`` that records ``(key, value)`` describe."""
+    block = np.zeros(shape, dtype=np.uint16)
+    block.reshape(-1)[key] = value
+    return block
 
 
 def coincidence_expanded(psi: complex, period: float, grid) -> np.ndarray:

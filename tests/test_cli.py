@@ -14,7 +14,7 @@ import pytest
 import scipy.ndimage
 
 import twophoton as tp
-from twophoton import cli, frameio
+from twophoton import cli, frameio, sensor
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
@@ -169,6 +169,19 @@ class TestSimulate:
         assert main(["simulate", "--seed", "-1", "--frames", "5", "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_stream_mismatch_leaves_no_frame_file(self, tmp_path, monkeypatch, capsys):
+        detect = sensor.apply_detection
+
+        def tampered(cells, quantum_efficiency, rng):
+            rng.random()  # one more double shifts the check frame's stream
+            return detect(cells, quantum_efficiency, rng)
+
+        monkeypatch.setattr(sensor, "apply_detection", tampered)
+        out = tmp_path / "out"
+        assert main(["simulate", "--frames", "200", "--seed", "3", "--out", str(out)]) == 2
+        assert "PCG64 stream differs" in capsys.readouterr().err
+        assert not (out / "frames.bifr").exists()
 
     def test_different_seed_differs(self, tmp_path):
         digests = []
@@ -345,7 +358,7 @@ class TestAnalyze:
         pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
         sim = tp.FrameSimulator(pdf, camera, 200, 3.0, 12)
         want = CoincidenceAccumulator(camera.width)
-        for frame in sim.iter_frames():
+        for frame in map(sim.frame, range(200)):
             process_frame(frame, camera, want)
 
         def refuse(*args, **kwargs):

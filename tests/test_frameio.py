@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle import scatter
 from twophoton import frameio
 from twophoton.errors import FrameFormatError, InvalidParameterError
 from twophoton.frameio import (
@@ -22,11 +23,19 @@ from twophoton.frameio import (
     write_pattern_csv,
     write_pgm,
 )
+from twophoton.framepipe import _strip_window
+from twophoton.patterns import JointPattern2D
+from twophoton.sensor import CameraModel, FrameSimulator
 
 
 def make_frames(n, w=8, h=6, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, 65536, (h, w)).astype(np.uint16) for _ in range(n)]
+
+
+def failing_source():
+    yield from make_frames(2)
+    raise RuntimeError("the frame source failed")
 
 
 class TestHeader:
@@ -113,12 +122,12 @@ class TestWriteRead:
             assert np.array_equal(reader.frame(k), frames[k])
 
     def test_iter_range(self, tmp_path):
-        # a range of whole frames is a strip block of every row
+        # a range of whole frames is the records of every row
         frames = make_frames(6)
         p = tmp_path / "run.bifr"
         write_frames(p, 8, 6, iter(frames), 6)
-        got = FrameFileReader(p).strip_block(2, 5, (0, 6))
-        assert np.array_equal(got, np.stack(frames[2:5]))
+        key, value = FrameFileReader(p).strip_records(2, 5, (0, 6))
+        assert np.array_equal(scatter(key, value, (3, 6, 8)), np.stack(frames[2:5]))
 
     def test_header_only_file(self, tmp_path):
         p = tmp_path / "empty.bifr"
@@ -126,13 +135,23 @@ class TestWriteRead:
         assert p.stat().st_size == HEADER_SIZE
         assert len(FrameFileReader(p)) == 0
 
+    def test_failed_source_leaves_no_file(self, tmp_path):
+        p = tmp_path / "partial.bifr"
+        with pytest.raises(RuntimeError):
+            write_frames(p, 8, 6, failing_source(), 4)
+        assert not p.exists()
+
     def test_count_mismatch_on_write(self, tmp_path):
+        p = tmp_path / "m.bifr"
         with pytest.raises(FrameFormatError):
-            write_frames(tmp_path / "m.bifr", 8, 6, iter(make_frames(3)), 4)
+            write_frames(p, 8, 6, iter(make_frames(3)), 4)
+        assert not p.exists()
 
     def test_shape_mismatch_on_write(self, tmp_path):
+        p = tmp_path / "m.bifr"
         with pytest.raises(FrameFormatError):
-            write_frames(tmp_path / "m.bifr", 9, 6, iter(make_frames(1)), 1)
+            write_frames(p, 9, 6, iter(make_frames(1)), 1)
+        assert not p.exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "t.bifr"
@@ -143,21 +162,27 @@ class TestWriteRead:
             FrameFileReader(p)
 
     def test_strip_block_reads_rows(self, tmp_path):
+        # the reader's dense row read, and the records it converts once
         frames = make_frames(7)
+        frames[3][:] = 0
         path = tmp_path / "f.bifr"
         write_frames(path, 8, 6, frames, 7)
-        block = FrameFileReader(path).strip_block(2, 6, (1, 4))
-        assert block.shape == (4, 3, 8)
-        assert np.array_equal(block, np.stack([f[1:4] for f in frames[2:6]]))
+        reader = FrameFileReader(path)
+        want = np.stack([f[1:4] for f in frames[2:6]])
+        assert np.array_equal(reader._strip_block(2, 6, (1, 4)), want)
+        key, value = reader.strip_records(2, 6, (1, 4))
+        assert key.dtype == np.int64 and value.dtype == np.uint16
+        assert np.all(np.diff(key) > 0) and np.all(value > 0)
+        assert np.array_equal(scatter(key, value, (4, 3, 8)), want)
 
     def test_strip_block_out_of_range(self, tmp_path):
         path = tmp_path / "f.bifr"
         write_frames(path, 8, 6, make_frames(3), 3)
         reader = FrameFileReader(path)
         with pytest.raises(IndexError):
-            reader.strip_block(1, 4, (0, 6))
+            reader.strip_records(1, 4, (0, 6))
         with pytest.raises(IndexError):
-            reader.strip_block(0, 3, (2, 7))
+            reader.strip_records(0, 3, (2, 7))
 
     def test_frame_index_out_of_range(self, tmp_path):
         p = tmp_path / "r.bifr"
@@ -241,3 +266,24 @@ class TestCsvAndPgm:
         write_pgm(p, np.full((2, 2), 3.7))
         pixels = np.frombuffer(p.read_bytes()[-4:], dtype=np.uint8)
         assert np.all(pixels == 0)
+
+
+class TestSourceProtocol:
+    def test_simulator_and_its_file_give_identical_records(self, tmp_path):
+        # the two sources analyze_source reads hand it the same records
+        cam = CameraModel(width=96, height=64, strip_rows=(20, 51), dark_rate=1.0)
+        grid = cam.pixel_grid()
+        pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
+        sim = FrameSimulator(pdf, cam, 150, 3.0, 17)
+        sim.write(tmp_path / "run.bifr")
+        reader = FrameFileReader(tmp_path / "run.bifr")
+        windows = [(0, cam.height), _strip_window(cam), (cam.height - 4, cam.height)]
+        for lo, hi in [(0, 150), (3, 70), (149, 150), (40, 40)]:
+            for rows in windows:
+                key, value = sim.strip_records(lo, hi, rows)
+                got_key, got_value = reader.strip_records(lo, hi, rows)
+                assert key.dtype == got_key.dtype == np.int64
+                assert value.dtype == got_value.dtype == np.uint16
+                assert np.array_equal(key, got_key) and np.array_equal(value, got_value)
+        # the whole run lights pixels in every window
+        assert all(sim.strip_records(0, 150, rows)[0].size for rows in windows)

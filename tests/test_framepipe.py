@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from oracle import records
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
     RATIO,
@@ -474,8 +475,8 @@ class TestAnalyzeSource:
             def __len__(self):
                 return len(sim)
 
-            def strip_block(self, lo, hi, rows):
-                return np.stack([sim.frame(k) for k in range(lo, hi)])[:, rows[0] : rows[1]]
+            def strip_records(self, lo, hi, rows):
+                return records(np.stack([sim.frame(k) for k in range(lo, hi)]), rows)
 
         a = analyze_source(sim, sim.camera).accumulator
         b = analyze_source(NoFastPath(), sim.camera).accumulator
@@ -525,8 +526,8 @@ class FrameList:
     def __len__(self):
         return len(self.frames)
 
-    def strip_block(self, lo, hi, rows):
-        return self.frames[lo:hi, rows[0] : rows[1]]
+    def strip_records(self, lo, hi, rows):
+        return records(self.frames[lo:hi], rows)
 
 
 SMALL_CAM = CameraModel(width=16, height=12, strip_rows=(3, 7))
@@ -601,7 +602,7 @@ class TestBlockReduction:
     @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
         sim = uniform_sim(CameraModel(), 300, mean_pairs, seed=21)
-        want = accumulator_key(per_frame_reference(sim.iter_frames(), sim.camera))
+        want = accumulator_key(per_frame_reference(map(sim.frame, range(300)), sim.camera))
         for block in (1, 7, 64, 256):
             assert accumulator_key(_reduce_range(sim, sim.camera, 0, 300, block)) == want
 
@@ -616,14 +617,14 @@ class TestBlockReduction:
         # which its min_patch of 1 keeps
         sim = uniform_sim(CameraModel(patch_size=1, dark_rate=0.0), 300, 1.0, seed=24)
         got = analyze_source(sim, sim.camera).accumulator
-        assert accumulator_key(got) == accumulator_key(per_frame_reference(sim.iter_frames(), sim.camera))
+        assert accumulator_key(got) == accumulator_key(per_frame_reference(map(sim.frame, range(300)), sim.camera))
         assert got.pairs_accepted > 0
 
     @pytest.mark.parametrize("case", EDGE_CASES)
     def test_labelling_edge_cases(self, case):
         frames, cam, want = EDGE_CASES[case]
         v0, v1 = _strip_window(cam)
-        got = list(zip(*(a.tolist() for a in _block_events(frames[:, v0:v1], v0, cam))))
+        got = list(zip(*(a.tolist() for a in _block_events(*records(frames, (v0, v1)), cam))))
         assert got == reference_events(frames, cam) == want
         block = _reduce_range(FrameList(list(frames)), cam, 0, len(frames), len(frames))
         assert accumulator_key(block) == accumulator_key(per_frame_reference(frames, cam))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from oracle import scatter
 from twophoton import sensor
 from twophoton.errors import InvalidParameterError, StreamMismatchError
 from twophoton.frameio import write_frames
@@ -38,6 +39,13 @@ def make_pdf(grid, delta=None):
         v[delta] = 1.0
     v = v / (v.sum() * grid.spacing**2)
     return JointPattern2D(grid, v, "coincidence")
+
+
+def assert_records(key, value):
+    """Records are sorted, unique int64 indices with uint16 values."""
+    assert key.dtype == np.int64 and value.dtype == np.uint16
+    assert key.shape == value.shape
+    assert np.all(np.diff(key) > 0)
 
 
 def sample_cells(n, delta=None, n_pairs=100_000, seed=0):
@@ -193,9 +201,6 @@ class TestRenderFrame:
         for rows in [(0, 512), (9, 13), (10, 11), (12, 12), (500, 512)]:
             part = render_frame(events, cam, np.random.default_rng(3), n_dark=60, rows=rows)
             assert np.array_equal(part, full[rows[0] : rows[1]])
-        out = np.zeros((4, 512), np.uint16)
-        assert render_frame(events, cam, np.random.default_rng(3), 60, (9, 13), out) is out
-        assert np.array_equal(out, full[9:13])
 
     def test_row_window_validated(self):
         cam = CameraModel()
@@ -204,8 +209,6 @@ class TestRenderFrame:
             render_frame([], cam, rng, rows=(5, 3))
         with pytest.raises(InvalidParameterError):
             render_frame([], cam, rng, rows=(0, 513))
-        with pytest.raises(InvalidParameterError):
-            render_frame([], cam, rng, rows=(0, 4), out=np.zeros((5, 512), np.uint16))
 
     def test_dark_events_single_pixel(self):
         cam = CameraModel()
@@ -270,23 +273,22 @@ class TestFrameSimulator:
         r0, r1 = sim.camera.strip_rows
         assert all(r0 <= e.row <= r1 for e in events)
 
-    def test_strip_block_indices_are_nonblank_frames(self):
+    def test_strip_records_index_every_frame(self):
+        # blank frames keep their place: frame k of the block is key // frame size
         sim = self.make_sim(mean_pairs=0.2)
-        block = sim.strip_block(0, 100, (0, sim.camera.height))
-        nonblank = [k for k in range(100) if sim.frame(k).max() > 0]
-        assert 0 < len(nonblank) < 100
-        assert block.dtype == np.uint16
-        assert np.array_equal(block, np.stack([sim.frame(k) for k in nonblank]))
+        want = np.stack([sim.frame(k) for k in range(100)])
+        assert 0 < sum(f.any() for f in want) < 100
+        key, value = sim.strip_records(0, 100, (0, sim.camera.height))
+        assert_records(key, value)
+        assert np.array_equal(scatter(key, value, want.shape), want)
 
-    def test_strip_block_equals_frame_rows(self):
+    def test_strip_records_equal_frame_rows(self):
         sim = self.make_sim(mean_pairs=3.0)
-        block = sim.strip_block(5, 45, (238, 274))
-        nonblank = [k for k in range(5, 45) if sim.frame(k).max() > 0]
-        assert len(nonblank) > 30
-        assert block.dtype == np.uint16
-        want = np.stack([sim.frame(k)[238:274] for k in nonblank])
-        assert block.shape == want.shape == (len(nonblank), 36, 512)
-        assert np.array_equal(block, want)
+        want = np.stack([sim.frame(k)[238:274] for k in range(5, 45)])
+        key, value = sim.strip_records(5, 45, (238, 274))
+        assert_records(key, value)
+        assert len(np.unique(key // (36 * 512))) > 30
+        assert np.array_equal(scatter(key, value, (40, 36, 512)), want)
 
     def test_write_roundtrip(self, tmp_path):
         from twophoton.frameio import FrameFileReader
@@ -331,12 +333,12 @@ def join(pair):
 
 
 def reference_frames(sim, lo, hi):
-    """(non-blank, frame) of frames lo..hi-1 by ``frame_events`` and
-    ``render_frame``, frame by frame: the oracle of the block draw."""
-    out = []
+    """Frames lo..hi-1 by ``frame_events`` and ``render_frame``, frame by
+    frame: the oracle of the block draw."""
+    out = np.empty((hi - lo, *sim.shape), dtype=np.uint16)
     for k in range(lo, hi):
         events, n_dark, rng = sim.frame_events(k)
-        out.append((bool(events or n_dark), render_frame(events, sim.camera, rng, n_dark)))
+        out[k - lo] = render_frame(events, sim.camera, rng, n_dark)
     return out
 
 
@@ -368,14 +370,14 @@ class TestBlockDraw:
         r0, r1 = cam.strip_rows
         windows = [(0, cam.height), (max(r0 - 2, 0), min(r1 + 3, cam.height)), (r1, r1 + 1)]
         for lo in range(0, n_frames, block):
-            nonblank = [frame for lit, frame in ref[lo : lo + block] if lit]
             for v0, v1 in windows:
-                got = sim.strip_block(lo, lo + block, (v0, v1))
-                assert got.shape == (len(nonblank), v1 - v0, cam.width)
-                assert all(np.array_equal(g, f[v0:v1]) for g, f in zip(got, nonblank))
-            assert np.array_equal(sim.frame(lo + 5), ref[lo + 5][1])
+                key, value = sim.strip_records(lo, lo + block, (v0, v1))
+                assert_records(key, value)
+                want = ref[lo : lo + block, v0:v1]
+                assert np.array_equal(scatter(key, value, want.shape), want)
+            assert np.array_equal(sim.frame(lo + 5), ref[lo + 5])
         sim.write(tmp_path / "block.bifr")
-        write_frames(tmp_path / "oracle.bifr", cam.width, cam.height, (f for _, f in ref), n_frames)
+        write_frames(tmp_path / "oracle.bifr", cam.width, cam.height, iter(ref), n_frames)
         assert (tmp_path / "block.bifr").read_bytes() == (tmp_path / "oracle.bifr").read_bytes()
 
     def test_blocks_hold_photons_and_darks(self):
@@ -390,8 +392,10 @@ class TestBlockDraw:
     def test_blank_block(self):
         cam = CameraModel(dark_rate=0.0)
         sim = FrameSimulator(make_pdf(PIXELS), cam, 64, 0.0, 1)
-        assert sim.strip_block(0, 64, (240, 272)).shape == (0, 32, 512)
-        assert sim.strip_block(7, 7, (0, 512)).shape == (0, 512, 512)
+        for lo, hi, rows in [(0, 64, (240, 272)), (7, 7, (0, 512))]:
+            key, value = sim.strip_records(lo, hi, rows)
+            assert_records(key, value)
+            assert key.size == value.size == 0
         assert not sim.frame(3).any()
 
     def test_frame_range_checked(self):
@@ -400,9 +404,9 @@ class TestBlockDraw:
             with pytest.raises(IndexError):
                 sim.frame(bad)
         with pytest.raises(IndexError):
-            sim.strip_block(5, 11, (0, 512))
+            sim.strip_records(5, 11, (0, 512))
         with pytest.raises(IndexError):
-            sim.strip_block(0, 5, (0, 513))
+            sim.strip_records(0, 5, (0, 513))
 
     @pytest.mark.parametrize("mean_pairs, dark_rate", [(10.0, 0.05), (0.5, 10.0), (25.0, 0.0)])
     def test_poisson_rates_of_ten_or_more_rejected(self, mean_pairs, dark_rate):
@@ -432,7 +436,7 @@ class TestBlockDraw:
 
         monkeypatch.setattr(sensor, "apply_detection", tampered)
         with pytest.raises(StreamMismatchError, match="PCG64"):
-            sim.strip_block(0, 64, (240, 272))
+            sim.strip_records(0, 64, (240, 272))
 
 
 class TestBlockArithmetic:
