@@ -7,7 +7,8 @@ Subcommands:
     analyze   reduce a frame file and fit the recovered visibilities
     sweep     visibilities versus source-slit distance, with the ideal circle
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numpy's random
+streams differ from the ones the frame draw reproduces.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     EmptyEstimateError,
     FrameFormatError,
     InvalidParameterError,
+    StreamMismatchError,
     TwoPhotonError,
 )
 from .experiment import (
@@ -154,9 +156,17 @@ def cmd_simulate(args) -> int:
     config = build_config(args)
     psi = analytic_summary(config).psi
     sim = build_simulator(config, psi=psi)
-    out = _out_dir(args)
+    out = Path(args.out)
+    # the directories this run creates, deepest first, removed if the write fails
+    created = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
     frame_path = out / "frames.bifr"
-    sim.write(frame_path)
+    try:
+        sim.write(frame_path)
+    except BaseException:
+        for d in created:
+            d.rmdir()
+        raise
     _write_sidecar(
         out / "frames.json",
         config,
@@ -319,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FrameFormatError, EmptyEstimateError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except StreamMismatchError as exc:
+        print(f"numpy stream error: {exc}", file=sys.stderr)
+        return 4
     except TwoPhotonError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,8 @@ MAGIC = b"BIFR"
 VERSION = 1
 HEADER_SIZE = 21
 _HEADER_FMT = "<4sBHHIB7s"
+# frames read densely and converted to records at a time
+_READ_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,20 @@ class FrameFileReader:
 
     def strip_records(self, lo: int, hi: int, rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero pixels of ``_strip_block`` as the records that
-        ``framepipe.analyze_source`` reads."""
-        block = self._strip_block(lo, hi, rows)
-        # numpy finds the nonzero entries of a bool mask far faster than of uint16
-        key = np.flatnonzero(block != 0)
-        return key, block.ravel()[key]
+        ``framepipe.analyze_source`` reads, converted ``_READ_BLOCK`` frames
+        at a time so the dense rows in memory stay few."""
+        h = self.header
+        if not (0 <= lo <= hi <= h.frame_count and 0 <= rows[0] <= rows[1] <= h.height):
+            raise IndexError((lo, hi, rows))
+        frame_pixels = (rows[1] - rows[0]) * h.width
+        keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint16)]
+        for a in range(lo, hi, _READ_BLOCK):
+            block = self._strip_block(a, min(a + _READ_BLOCK, hi), rows)
+            # numpy finds the nonzero entries of a bool mask far faster than of uint16
+            key = np.flatnonzero(block != 0)
+            keys.append(key + (a - lo) * frame_pixels)
+            values.append(block.ravel()[key])
+        return np.concatenate(keys), np.concatenate(values)
 
     def _strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.

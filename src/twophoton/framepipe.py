@@ -18,9 +18,12 @@ singles histogram by chi-square, with ``scipy.special.chdtrc`` as p-value.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
 only, from the records a source gives of each block's lit pixels: sorted
-flat indices and their values.  The records above threshold are joined to
-their lit 8-neighbours found by ``searchsorted`` in the sorted indices, and
-each connected component of that sparse graph is a patch.
+flat indices and their values.  A block is labelled in chunks of whole
+frames, each of at most ``_CHUNK`` records unless one frame holds more, so
+the labelling's memory is bounded however many pixels a block lights.  The
+records above threshold are joined to their lit 8-neighbours found by
+``searchsorted`` in the sorted indices, and each connected component of that
+sparse graph is a patch.
 ``process_frame``, which labels each dense frame with ``ndimage.label``, is
 the per-frame reference it must equal.
 """
@@ -38,6 +41,8 @@ from .patterns import JointPattern2D
 from .sensor import _BLOCK, FULL_SCALE, CameraModel, PhotonEvent
 
 _CONN8 = np.ones((3, 3), dtype=int)
+# records labelled together: about 29 MB of labelling at 220 B per record
+_CHUNK = 2**17
 # the vertical filter keeps a pair iff |delta row| < RATIO * |delta col|
 RATIO = 1.0 / 3.0
 
@@ -494,17 +499,31 @@ def _reduce_range(
 ) -> CoincidenceAccumulator:
     """Reduce frames ``lo..hi-1`` block by block into a new accumulator.
 
-    Equal to ``process_frame`` on every frame, for any block size.
+    Each block's records are labelled in chunks of whole frames, cut where
+    the keys cross a frame's first pixel: a chunk holds at most ``_CHUNK``
+    records, or one frame that holds more.  Equal to ``process_frame`` on
+    every frame, for any block size.
     """
     width = cam.width
     rows = _strip_window(cam)
+    frame_pixels = (rows[1] - rows[0]) * width
     acc = CoincidenceAccumulator(width)
     acc.frames_total = hi - lo
     singles = [np.empty(0, dtype=np.int64)]
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for b0 in range(lo, hi, block):
         b1 = min(b0 + block, hi)
-        f, row, col = _block_events(*source.strip_records(b0, b1, rows), cam)
+        key, value = source.strip_records(b0, b1, rows)
+        # cuts[m] is the first record of frame m; keys stay block-relative,
+        # so every chunk's events carry their frame within the block
+        cuts = np.searchsorted(key, np.arange(b1 - b0 + 1) * frame_pixels)
+        events, m = [], 0
+        while m < b1 - b0:
+            end = max(int(np.searchsorted(cuts, cuts[m] + _CHUNK, side="right")) - 1, m + 1)
+            a, b = cuts[m], cuts[end]
+            events.append(_block_events(key[a:b], value[a:b], cam))
+            m = end
+        f, row, col = (np.concatenate(e) for e in zip(*events))
         per_frame = np.bincount(f, minlength=b1 - b0)
         acc.frames_single += int(np.count_nonzero(per_frame == 1))
         acc.frames_pair += int(np.count_nonzero(per_frame == 2))

@@ -30,9 +30,10 @@ with array arithmetic on the same streams, bit for bit:
 
 The block draw's domain: both Poisson rates below 10 (numpy switches to
 PTRS there), at most 2**32 frames (a frame index is one uint32 word of its
-seed), any seed >= 0.  Once per block one frame is replayed through a real
-``np.random.Generator``; a different final generator state raises
-``StreamMismatchError``, so a numpy whose streams changed cannot pass.
+seed), any seed >= 0.  One frame of every 64 is replayed through a real
+``np.random.Generator``, one per 64-frame sub-block of a block; a different
+final generator state raises ``StreamMismatchError``, so a numpy whose
+streams changed cannot pass.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ from .patterns import JointPattern2D
 FULL_SCALE = 65535
 # numpy draws Poisson counts below this rate by its multiplication method
 POISSON_MULT_LIMIT = 10.0
-# frames drawn, rendered and labelled together; results do not depend on it
-_BLOCK = 64
+# frames drawn per call and handed to the reduction together; results do not
+# depend on it.  framepipe labels a block in chunks of bounded size.
+_BLOCK = 1024
+# the run-time check replays one frame per this many drawn, counted from the
+# block's first frame
+_CHECK_EVERY = 64
 
 
 def require_finite(record) -> None:
@@ -637,28 +642,31 @@ class FrameSimulator:
         return key[first], value
 
     def _check_stream(self, lo, st, ev_frame, ev_row, ev_col, n_dark) -> None:
-        """Replay one frame through ``np.random.Generator``: its events, dark
-        count and final generator state must be the block draw's.  The frame
-        is the shortest stream among those with the most kinds of draw
-        (photons, dark pixels)."""
+        """Replay one frame of every ``_CHECK_EVERY``-frame sub-block through
+        ``np.random.Generator``: its events, dark count and final generator
+        state must be the block draw's.  In each sub-block the frame is the
+        shortest stream among those with the most kinds of draw (photons,
+        dark pixels)."""
         kinds = (np.bincount(ev_frame, minlength=n_dark.size) > 0).astype(int) + (n_dark > 0)
-        f = int(np.lexsort((st.pos, -kinds))[0])
-        events, dark, rng = self.frame_events(lo + f)
-        render_frame(events, self.camera, rng, dark, rows=(0, 0))
-        got = rng.bit_generator.state
-        state, inc = st.final_state(f)
-        carry = int(st.carry[f])
-        mine = ev_frame == f
-        if (
-            [(ev.row, ev.col) for ev in events] != list(zip(ev_row[mine].tolist(), ev_col[mine].tolist()))
-            or dark != n_dark[f]
-            or (got["state"]["state"], got["state"]["inc"], got["has_uint32"]) != (state, inc, carry)
-            or (carry and got["uinteger"] != int(st.half[f]))
-        ):
-            raise StreamMismatchError(
-                f"frame {lo + f}: numpy's PCG64 stream differs from the block draw "
-                f"(numpy {np.__version__})"
-            )
+        for s in range(0, n_dark.size, _CHECK_EVERY):
+            e = s + _CHECK_EVERY
+            f = s + int(np.lexsort((st.pos[s:e], -kinds[s:e]))[0])
+            events, dark, rng = self.frame_events(lo + f)
+            render_frame(events, self.camera, rng, dark, rows=(0, 0))
+            got = rng.bit_generator.state
+            state, inc = st.final_state(f)
+            carry = int(st.carry[f])
+            mine = ev_frame == f
+            if (
+                [(ev.row, ev.col) for ev in events] != list(zip(ev_row[mine].tolist(), ev_col[mine].tolist()))
+                or dark != n_dark[f]
+                or (got["state"]["state"], got["state"]["inc"], got["has_uint32"]) != (state, inc, carry)
+                or (carry and got["uinteger"] != int(st.half[f]))
+            ):
+                raise StreamMismatchError(
+                    f"frame {lo + f}: numpy's PCG64 stream differs from the block draw "
+                    f"(numpy {np.__version__})"
+                )
 
     def frame(self, k: int) -> np.ndarray:
         key, value = self.strip_records(k, k + 1, (0, self.camera.height))

@@ -179,9 +179,10 @@ class TestSimulate:
 
         monkeypatch.setattr(sensor, "apply_detection", tampered)
         out = tmp_path / "out"
-        assert main(["simulate", "--frames", "200", "--seed", "3", "--out", str(out)]) == 2
-        assert "PCG64 stream differs" in capsys.readouterr().err
-        assert not (out / "frames.bifr").exists()
+        assert main(["simulate", "--frames", "200", "--seed", "3", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numpy stream error:") and "PCG64 stream differs" in err
+        assert not out.exists()
 
     def test_different_seed_differs(self, tmp_path):
         digests = []
@@ -199,9 +200,13 @@ class TestSimulate:
 
     def test_run_that_does_not_fit_the_disk_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(frameio.shutil, "disk_usage", lambda path: SimpleNamespace(free=10**6))
-        out = tmp_path / "out"
+        out = tmp_path / "d" / "out"
         assert main(["simulate", "--frames", "2", "--out", str(out)]) == 3
         assert f"[Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+        # a directory that was there before the run stays
+        out.mkdir(parents=True)
+        assert main(["simulate", "--frames", "2", "--out", str(out)]) == 3
         assert list(out.iterdir()) == []
 
 

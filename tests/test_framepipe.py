@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from twophoton.framepipe import (
     superpixel_bin,
     threshold_frame,
     vertical_acceptance,
+    _CHUNK,
     _block_events,
     _reduce_range,
     _strip_window,
@@ -546,6 +548,17 @@ def lit(cam, n_frames, pixels, level=T + 100):
     return frames
 
 
+def split_lit(cam, rng, level=T + 5000):
+    """A frame of ``cam`` lit all over but one dark column, with a brighter
+    pixel inside the strip on each side of it: two photons."""
+    frame = np.full((cam.height, cam.width), level, np.uint16)
+    gap = int(rng.integers(1, cam.width - 1))
+    frame[:, gap] = 0
+    rows = rng.integers(cam.strip_rows[0], cam.strip_rows[1] + 1, size=2)
+    frame[rows[0], rng.integers(0, gap)] = frame[rows[1], rng.integers(gap + 1, cam.width)] = level + 1
+    return frame
+
+
 def chain_over_frame_boundary():
     # frame 0 lights rows 5..9 of column 5, the last row of the window, and
     # frame 1 rows 1..4, its first: adjacent in the block, two patches
@@ -601,10 +614,78 @@ def reference_events(frames, cam):
 class TestBlockReduction:
     @pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
-        sim = uniform_sim(CameraModel(), 300, mean_pairs, seed=21)
-        want = accumulator_key(per_frame_reference(map(sim.frame, range(300)), sim.camera))
-        for block in (1, 7, 64, 256):
-            assert accumulator_key(_reduce_range(sim, sim.camera, 0, 300, block)) == want
+        # 1100 frames: a block of 1000 or 1024 is cut, one of 4096 is not;
+        # the range from frame 37 starts its blocks off the multiples of 64
+        n, lo = 1100, 37
+        sim = uniform_sim(CameraModel(), n, mean_pairs, seed=21)
+        head = per_frame_reference(map(sim.frame, range(lo)), sim.camera)
+        tail = per_frame_reference(map(sim.frame, range(lo, n)), sim.camera)
+        want_head, want_tail = accumulator_key(head), accumulator_key(tail)
+        want = accumulator_key(tail.merge(head))
+        for block in (1, 7):
+            assert accumulator_key(_reduce_range(sim, sim.camera, 0, lo, block)) == want_head
+        for block in (7, 64, 256, 1000, 1024, 4096):
+            assert accumulator_key(_reduce_range(sim, sim.camera, 0, n, block)) == want
+        for block in (64, 1024):
+            assert accumulator_key(_reduce_range(sim, sim.camera, lo, n, block)) == want_tail
+
+    def test_chunk_cuts_inside_a_block(self):
+        # every third frame is lit all over but one dark column: its two
+        # halves are two photons.  Their records fill more than one chunk,
+        # so the block's labelling is cut between frames
+        cam = CameraModel()
+        sim = uniform_sim(cam, 30, 3.0, seed=25)
+        frames = np.stack([sim.frame(k) for k in range(30)])
+        rng = np.random.default_rng(25)
+        for k in range(0, 30, 3):
+            frames[k] = split_lit(cam, rng)
+        assert records(frames, _strip_window(cam))[0].size > _CHUNK
+        got = _reduce_range(FrameList(list(frames)), cam, 0, len(frames))
+        want = per_frame_reference(frames, cam)
+        assert accumulator_key(got) == accumulator_key(want)
+        assert want.frames_pair >= 10
+
+    def test_frame_of_more_than_a_chunk_is_one_chunk(self):
+        # at width 4096 a lit frame's 36 window rows hold more than _CHUNK records
+        cam = CameraModel(width=4096, height=40, strip_rows=(4, 35))
+        frames = lit(cam, 4, [(0, 10, 7), (0, 10, 8), (0, 11, 7), (0, 11, 8), (3, 20, 4000)])
+        rng = np.random.default_rng(26)
+        frames[1], frames[2] = split_lit(cam, rng), split_lit(cam, rng)
+        assert np.count_nonzero(frames[1, 2:38]) > _CHUNK
+        got = _reduce_range(FrameList(list(frames)), cam, 0, len(frames))
+        want = per_frame_reference(frames, cam)
+        assert accumulator_key(got) == accumulator_key(want)
+        assert want.frames_pair == 2 and want.frames_single == 1
+
+    def test_fully_lit_block_is_labelled_in_bounded_memory(self):
+        # 16 fully lit frames of the default camera, 295k records, peaked
+        # near 65 MB labelled at once; frame f's maximum is at (250, 100 + f)
+        cam = CameraModel()
+        v0, v1 = _strip_window(cam)
+        n, pixels = 16, (v1 - v0) * cam.width
+        key = np.arange(n * pixels)
+        value = np.full(key.size, 20000, np.uint16)
+        value[np.arange(n) * pixels + (250 - v0) * cam.width + 100 + np.arange(n)] = 60000
+
+        class Lit:
+            shape = (cam.height, cam.width)
+
+            def __len__(self):
+                return n
+
+            def strip_records(self, lo, hi, rows):
+                assert (lo, hi, rows) == (0, n, (v0, v1))
+                return key, value
+
+        tracemalloc.start()
+        try:
+            acc = _reduce_range(Lit(), cam, 0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert acc.frames_single == n
+        assert np.array_equal(np.flatnonzero(acc.singles), 100 + np.arange(n))
 
     def test_subrange(self):
         sim = uniform_sim(CameraModel(), 120, 2.0, seed=22)

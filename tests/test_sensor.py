@@ -1,5 +1,7 @@
 """Monte Carlo sampling, detection thinning, and frame rendering."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -426,17 +428,44 @@ class TestBlockDraw:
         events, n_dark, rng = sim.frame_events(k)
         assert np.array_equal(sim.frame(k), render_frame(events, sim.camera, rng, n_dark))
 
-    def test_tampered_check_frame_raises(self, monkeypatch):
-        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 64, 3.0, 5)
-        detect = sensor.apply_detection
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 64), (0, 65), (37, 1037), (0, 1024)])
+    def test_one_replay_per_64_frames(self, monkeypatch, lo, hi):
+        # one check frame in every 64-frame sub-block, counted from the block's start
+        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 1100, 0.5, 6)
+        replayed = []
+        frame_events = FrameSimulator.frame_events
+
+        def recorded(self, k):
+            replayed.append(k)
+            return frame_events(self, k)
+
+        monkeypatch.setattr(FrameSimulator, "frame_events", recorded)
+        sim.strip_records(lo, hi, (240, 272))
+        assert len(replayed) == math.ceil((hi - lo) / 64)
+        assert [(k - lo) // 64 for k in replayed] == list(range(len(replayed)))
+
+    @pytest.mark.parametrize("n_frames", [64, 1024])
+    def test_tampered_check_frame_raises(self, monkeypatch, n_frames):
+        # only the last 64-frame sub-block's check frame is tampered with
+        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), n_frames, 3.0, 5)
+        detect, frame_events = sensor.apply_detection, FrameSimulator.frame_events
+        replayed = []
+
+        def recorded(self, k):
+            replayed.append(k)
+            return frame_events(self, k)
 
         def tampered(cells, quantum_efficiency, rng):
-            rng.random()  # one more double shifts the rest of the frame's stream
+            if replayed[-1] >= n_frames - 64:
+                rng.random()  # one more double shifts the rest of the frame's stream
             return detect(cells, quantum_efficiency, rng)
 
+        monkeypatch.setattr(FrameSimulator, "frame_events", recorded)
         monkeypatch.setattr(sensor, "apply_detection", tampered)
-        with pytest.raises(StreamMismatchError, match="PCG64"):
-            sim.strip_records(0, 64, (240, 272))
+        with pytest.raises(StreamMismatchError, match="PCG64") as raised:
+            sim.strip_records(0, n_frames, (240, 272))
+        assert len(replayed) == n_frames // 64
+        assert f"frame {replayed[-1]}:" in str(raised.value)
 
 
 class TestBlockArithmetic:
