@@ -344,6 +344,19 @@ def reference_frames(sim, lo, hi):
     return out
 
 
+def record_replays(monkeypatch):
+    """The frame indices ``frame_events`` is called with from now on: the
+    run-time check's replays, when only blocks are drawn."""
+    replayed, frame_events = [], FrameSimulator.frame_events
+
+    def recorded(self, k):
+        replayed.append(k)
+        return frame_events(self, k)
+
+    monkeypatch.setattr(FrameSimulator, "frame_events", recorded)
+    return replayed
+
+
 # camera, mean_pairs, seed; every case is drawn in 30 blocks of 8 frames
 BLOCK_CASES = {
     "no pairs": (CameraModel(), 0.0, 3),
@@ -432,40 +445,29 @@ class TestBlockDraw:
     def test_one_replay_per_64_frames(self, monkeypatch, lo, hi):
         # one check frame in every 64-frame sub-block, counted from the block's start
         sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), 1100, 0.5, 6)
-        replayed = []
-        frame_events = FrameSimulator.frame_events
-
-        def recorded(self, k):
-            replayed.append(k)
-            return frame_events(self, k)
-
-        monkeypatch.setattr(FrameSimulator, "frame_events", recorded)
+        replayed = record_replays(monkeypatch)
         sim.strip_records(lo, hi, (240, 272))
         assert len(replayed) == math.ceil((hi - lo) / 64)
         assert [(k - lo) // 64 for k in replayed] == list(range(len(replayed)))
 
-    @pytest.mark.parametrize("n_frames", [64, 1024])
-    def test_tampered_check_frame_raises(self, monkeypatch, n_frames):
-        # only the last 64-frame sub-block's check frame is tampered with
-        sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), n_frames, 3.0, 5)
-        detect, frame_events = sensor.apply_detection, FrameSimulator.frame_events
-        replayed = []
-
-        def recorded(self, k):
-            replayed.append(k)
-            return frame_events(self, k)
+    def test_tampered_check_frame_raises(self, monkeypatch):
+        # only the check frame of a block's last 64-frame sub-block is tampered with
+        detect = sensor.apply_detection
+        replayed = record_replays(monkeypatch)
 
         def tampered(cells, quantum_efficiency, rng):
             if replayed[-1] >= n_frames - 64:
                 rng.random()  # one more double shifts the rest of the frame's stream
             return detect(cells, quantum_efficiency, rng)
 
-        monkeypatch.setattr(FrameSimulator, "frame_events", recorded)
         monkeypatch.setattr(sensor, "apply_detection", tampered)
-        with pytest.raises(StreamMismatchError, match="PCG64") as raised:
-            sim.strip_records(0, n_frames, (240, 272))
-        assert len(replayed) == n_frames // 64
-        assert f"frame {replayed[-1]}:" in str(raised.value)
+        for n_frames in (64, 1024):
+            replayed.clear()
+            sim = FrameSimulator(make_pdf(PIXELS), CameraModel(), n_frames, 3.0, 5)
+            with pytest.raises(StreamMismatchError, match="PCG64") as raised:
+                sim.strip_records(0, n_frames, (240, 272))
+            assert len(replayed) == n_frames // 64
+            assert f"frame {replayed[-1]}:" in str(raised.value)
 
 
 class TestBlockArithmetic:
