@@ -30,10 +30,10 @@ with array arithmetic on the same streams, bit for bit:
 
 The block draw's domain: both Poisson rates below 10 (numpy switches to
 PTRS there), at most 2**32 frames (a frame index is one uint32 word of its
-seed), any seed >= 0.  One frame of every 64 is replayed through a real
-``np.random.Generator``, one per 64-frame sub-block of a block; a different
-final generator state raises ``StreamMismatchError``, so a numpy whose
-streams changed cannot pass.
+seed), any seed >= 0.  One frame of each 64-frame sub-block of a block is
+replayed through a real ``np.random.Generator``; a different final
+generator state raises ``StreamMismatchError``, so a numpy whose streams
+changed cannot pass.
 """
 
 from __future__ import annotations
