@@ -14,6 +14,7 @@ streams differ from the ones the frame draw reproduces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -157,7 +158,8 @@ def cmd_simulate(args) -> int:
     psi = analytic_summary(config).psi
     sim = build_simulator(config, psi=psi)
     out = Path(args.out)
-    # the directories this run creates, deepest first, removed if the write fails
+    # the directories this run creates, deepest first, removed if the write
+    # fails; one that is not empty stays, and the write's error is reported
     created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     frame_path = out / "frames.bifr"
@@ -165,7 +167,8 @@ def cmd_simulate(args) -> int:
         sim.write(frame_path)
     except BaseException:
         for d in created:
-            d.rmdir()
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
     _write_sidecar(
         out / "frames.json",

@@ -147,8 +147,7 @@ class FrameFileReader:
         ``framepipe.analyze_source`` reads, converted ``_READ_BLOCK`` frames
         at a time so the dense rows in memory stay few."""
         h = self.header
-        if not (0 <= lo <= hi <= h.frame_count and 0 <= rows[0] <= rows[1] <= h.height):
-            raise IndexError((lo, hi, rows))
+        self._check_range(lo, hi, rows)
         frame_pixels = (rows[1] - rows[0]) * h.width
         keys, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint16)]
         for a in range(lo, hi, _READ_BLOCK):
@@ -159,6 +158,11 @@ class FrameFileReader:
             values.append(block.ravel()[key])
         return np.concatenate(keys), np.concatenate(values)
 
+    def _check_range(self, lo: int, hi: int, rows: tuple[int, int]) -> None:
+        h = self.header
+        if not (0 <= lo <= hi <= h.frame_count and 0 <= rows[0] <= rows[1] <= h.height):
+            raise IndexError((lo, hi, rows))
+
     def _strip_block(self, lo: int, hi: int, rows: tuple[int, int]) -> np.ndarray:
         """Rows ``rows = (v0, v1)`` of frames ``lo..hi-1``, read in one open.
 
@@ -167,8 +171,7 @@ class FrameFileReader:
         """
         h = self.header
         v0, v1 = rows
-        if not (0 <= lo <= hi <= h.frame_count and 0 <= v0 <= v1 <= h.height):
-            raise IndexError((lo, hi, rows))
+        self._check_range(lo, hi, rows)
         block = np.empty((hi - lo, v1 - v0, h.width), dtype="<u2")
         row_bytes = h.width * 2
         with open(self.path, "rb") as f:

@@ -184,6 +184,22 @@ class TestSimulate:
         assert err.startswith("numpy stream error:") and "PCG64 stream differs" in err
         assert not out.exists()
 
+    def test_stream_mismatch_beside_a_stray_file_still_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a file that appears in --out during the write keeps the directories
+        # from being removed; that failure must not replace the stream error
+        detect = sensor.apply_detection
+        out = tmp_path / "d" / "out"
+
+        def tampered(cells, quantum_efficiency, rng):
+            (out / "stray").touch()
+            rng.random()
+            return detect(cells, quantum_efficiency, rng)
+
+        monkeypatch.setattr(sensor, "apply_detection", tampered)
+        assert main(["simulate", "--frames", "200", "--seed", "3", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("numpy stream error:")
+        assert [p.name for p in out.iterdir()] == ["stray"]
+
     def test_different_seed_differs(self, tmp_path):
         digests = []
         for seed in ("5", "6"):

@@ -616,18 +616,24 @@ class TestBlockReduction:
     def test_block_sizes_match_per_frame_reference(self, mean_pairs):
         # 1100 frames: a block of 1000 or 1024 is cut, one of 4096 is not;
         # the range from frame 37 starts its blocks off the multiples of 64
-        n, lo = 1100, 37
+        n, lo, m = 1100, 37, 300
         sim = uniform_sim(CameraModel(), n, mean_pairs, seed=21)
-        head = per_frame_reference(map(sim.frame, range(lo)), sim.camera)
-        tail = per_frame_reference(map(sim.frame, range(lo, n)), sim.camera)
-        want_head, want_tail = accumulator_key(head), accumulator_key(tail)
-        want = accumulator_key(tail.merge(head))
-        for block in (1, 7):
-            assert accumulator_key(_reduce_range(sim, sim.camera, 0, lo, block)) == want_head
-        for block in (7, 64, 256, 1000, 1024, 4096):
-            assert accumulator_key(_reduce_range(sim, sim.camera, 0, n, block)) == want
+        cam = sim.camera
+        parts = [per_frame_reference(map(sim.frame, range(a, b)), cam)
+                 for a, b in ((0, lo), (lo, m), (m, n))]
+
+        def want(*idx):
+            acc = CoincidenceAccumulator(cam.width)
+            for i in idx:
+                acc.merge(parts[i])
+            return accumulator_key(acc)
+
+        for block in (1, 7, 64, 256):
+            assert accumulator_key(_reduce_range(sim, cam, 0, m, block)) == want(0, 1)
+        for block in (64, 1000, 1024, 4096):
+            assert accumulator_key(_reduce_range(sim, cam, 0, n, block)) == want(0, 1, 2)
         for block in (64, 1024):
-            assert accumulator_key(_reduce_range(sim, sim.camera, lo, n, block)) == want_tail
+            assert accumulator_key(_reduce_range(sim, cam, lo, n, block)) == want(1, 2)
 
     def test_chunk_cuts_inside_a_block(self):
         # every third frame is lit all over but one dark column: its two
