@@ -207,7 +207,6 @@ def _analyze_config(args) -> ExperimentConfig:
 
 def cmd_analyze(args) -> int:
     config = _analyze_config(args)
-    out = _out_dir(args)
     reader = FrameFileReader(args.frames_file)
     result = analyze_source(reader, config.camera)
     recovered = recover_visibilities(result, config.fringe_period)
@@ -219,7 +218,9 @@ def cmd_analyze(args) -> int:
     marginal = marginal_pattern(estimate)
     excess = excess_pattern(estimate, marginal, config.fringe_period)
     x = estimate.grid.positions
-    write_joint_csv(out / "estimate.csv", x, estimate.values)
+    # created once the estimate is fitted, so a run that fails leaves no --out
+    out = _out_dir(args)
+    np.save(out / "estimate.npy", estimate.values)
     write_pattern_csv(out / "estimate_marginal.csv", x, marginal.values)
     write_pattern_csv(out / "singles_histogram.csv", x, acc.singles.astype(float))
     write_pgm(out / "estimate_super4.pgm", superpixel_bin(estimate.values, 4))
@@ -267,7 +268,10 @@ def cmd_sweep(args) -> int:
         {"distances": distances, "points": [dataclasses.asdict(p) for p in points]},
     )
     for p in points:
-        print(f"d = {p.distance:7.3f} m  psi = {p.psi:+.4f}  V1m = {p.v1m:.4f}  V12 = {p.v12:.4f}")
+        line = f"d = {p.distance:7.3f} m  psi = {p.psi:+.4f}  V1m = {p.v1m:.4f}  V12 = {p.v12:.4f}"
+        if p.mc_v1m is not None:
+            line += f"  MC V1m = {p.mc_v1m:.4f}  MC V12 = {p.mc_v12:.4f}"
+        print(line)
     return 0
 
 

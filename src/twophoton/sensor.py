@@ -26,7 +26,8 @@ with array arithmetic on the same streams, bit for bit:
   uint32 halves by Lemire's method, rejections included;
 * patches and dark pixels combine by maximum into sorted, unique (flat
   index, value) records of the block's lit pixels.  ``strip_records`` hands
-  them to the reduction; only ``frame`` and ``write`` build dense frames.
+  them to the reduction and ``write`` to a BIFR file; only ``frame`` builds
+  a dense frame.
 
 The block draw's domain: both Poisson rates below 10 (numpy switches to
 PTRS there), at most 2**32 frames (a frame index is one uint32 word of its
@@ -690,28 +691,12 @@ class FrameSimulator:
         keep = (pixel >= v0 * w) & (pixel < v1 * w)
         return f[keep] * ((v1 - v0) * w) + pixel[keep] - v0 * w, value[keep]
 
-    def _frames(self):
-        """Every frame in index order, scattered from its block's records into
-        one reused buffer, valid until the next frame is drawn."""
-        buf = np.zeros(self.shape, dtype=np.uint16)
-        flat = buf.reshape(-1)
-        for lo in range(0, self.n_frames, _BLOCK):
-            hi = min(lo + _BLOCK, self.n_frames)
-            key, value = self._draw_block(lo, hi)
-            starts = np.arange(hi - lo + 1) * flat.size
-            ends = np.searchsorted(key, starts)
-            for start, a, b in zip(starts, ends[:-1], ends[1:]):
-                pixel = key[a:b] - start
-                flat[pixel] = value[a:b]
-                yield buf
-                flat[pixel] = 0
-
     def write(self, path: str | Path) -> None:
-        """Stream the whole run to a BIFR frame file."""
-        write_frames(
-            path,
-            self.camera.width,
-            self.camera.height,
-            self._frames(),
-            self.n_frames,
+        """Stream the whole run to a BIFR frame file, the records of a block
+        at a time; no frame is made dense."""
+        blocks = (
+            (hi - lo, *self._draw_block(lo, hi))
+            for lo in range(0, self.n_frames, _BLOCK)
+            for hi in [min(lo + _BLOCK, self.n_frames)]
         )
+        write_frames(path, self.camera.width, self.camera.height, blocks, self.n_frames)

@@ -29,11 +29,19 @@ frames.  Dark pixels touching a patch are rare enough to leave out.
 ``records`` and ``scatter`` convert between dense uint16 frames and the
 ``(key, value)`` records a frame source hands ``framepipe.analyze_source``,
 with plain numpy indexing.
+
+``write_v1`` is the dense version-1 BIFR writer, which the package reads but
+no longer writes; ``v2_to_v1`` converts a file to it frame by frame, to a
+file or to a stream of bytes, and
+``write_v2`` writes any frame source (a simulator, or a reader of either
+version) through the package's version-2 writer.  ``read_pattern_csv``
+reads the 1-D CSVs the command line writes.
 """
 
 import numpy as np
 
 from twophoton.experiment import joint_pdf
+from twophoton.frameio import FrameFileHeader, FrameFileReader, write_frames
 from twophoton.framepipe import CoincidenceAccumulator, accidental_fraction, vertical_acceptance
 from twophoton.patterns import _roi_slice
 
@@ -51,6 +59,48 @@ def scatter(key: np.ndarray, value: np.ndarray, shape: tuple[int, ...]) -> np.nd
     block = np.zeros(shape, dtype=np.uint16)
     block.reshape(-1)[key] = value
     return block
+
+
+def v1_bytes(width: int, height: int, frames, frame_count: int):
+    """The bytes of a version-1 BIFR file, a frame at a time: the header,
+    then every frame row-major as u16."""
+    yield FrameFileHeader(width, height, frame_count, version=1).pack()
+    for frame in frames:
+        yield np.ascontiguousarray(frame, dtype="<u2").tobytes()
+
+
+def write_v1(path, width: int, height: int, frames, frame_count: int) -> None:
+    with open(path, "wb") as f:
+        f.writelines(v1_bytes(width, height, frames, frame_count))
+
+
+def v2_to_v1(src, dst=None):
+    """Convert the BIFR file ``src`` to version 1 at ``dst``, or, with no
+    ``dst``, return the version-1 bytes a frame at a time."""
+    reader = FrameFileReader(src)
+    height, width = reader.shape
+    chunks = v1_bytes(width, height, map(reader.frame, range(len(reader))), len(reader))
+    if dst is None:
+        return chunks
+    with open(dst, "wb") as f:
+        f.writelines(chunks)
+
+
+def write_v2(path, source, block: int = 64) -> None:
+    """Write every frame of ``source`` as version 2, ``block`` frames at a time."""
+    height, width = source.shape
+    n = len(source)
+    blocks = (
+        (min(lo + block, n) - lo, *source.strip_records(lo, min(lo + block, n), (0, height)))
+        for lo in range(0, n, block)
+    )
+    write_frames(path, width, height, blocks, n)
+
+
+def read_pattern_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of a ``position_m,value`` CSV."""
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    return data[:, 0], data[:, 1]
 
 
 def coincidence_expanded(psi: complex, period: float, grid) -> np.ndarray:

@@ -7,7 +7,6 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +17,14 @@ from twophoton import cli, frameio, sensor
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
-from twophoton.frameio import HEADER_SIZE, FrameFileReader, read_pattern_csv, write_frames
+from oracle import read_pattern_csv
+from twophoton.frameio import HEADER_SIZE, VERSION, FrameFileReader, write_frames
 from twophoton.framepipe import (
     CoincidenceAccumulator,
     _reduce_range,
     analyze_source,
     corrected_counts,
+    finalize,
     process_frame,
 )
 from twophoton.optics import SpatialGrid
@@ -126,7 +127,9 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.cfg", n_frames=0)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "frames.bifr").stat().st_size == HEADER_SIZE
+        # a version-2 file of no frames has no frame and an empty offset table
+        raw = (out / "frames.bifr").read_bytes()
+        assert len(raw) == HEADER_SIZE and raw[4] == VERSION == 2
         meta = json.loads((out / "frames.json").read_text())
         assert meta["config"]["n_frames"] == 0
 
@@ -215,7 +218,28 @@ class TestSimulate:
         assert not (out / "frames.bifr").exists()
 
     def test_run_that_does_not_fit_the_disk_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(frameio.shutil, "disk_usage", lambda path: SimpleNamespace(free=10**6))
+        # a version-2 file's size is known only once it is written: the disk
+        # fills during the write, after the header
+        class FullDisk:
+            def __init__(self, f):
+                self.f, self.written = f, 0
+
+            def write(self, data):
+                if self.written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.written += len(data)
+                return self.f.write(data)
+
+            def close(self):
+                self.f.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(frameio, "open", lambda path, mode: FullDisk(open(path, mode)), raising=False)
         out = tmp_path / "d" / "out"
         assert main(["simulate", "--frames", "2", "--out", str(out)]) == 3
         assert f"[Errno {errno.ENOSPC}]" in capsys.readouterr().err
@@ -250,21 +274,23 @@ class TestAnalyze:
         assert report["v12_ratio"] == rec.v12_ratio
         assert report["accidentals"] == rec.accidentals
         assert report["fit_residual"] == rec.joint_fit.residual
-        outputs = ("estimate.csv", "estimate_marginal.csv", "singles_histogram.csv",
+        outputs = ("estimate.npy", "estimate_marginal.csv", "singles_histogram.csv",
                    "estimate_super4.pgm", "excess_super4.pgm")
-        for name in outputs:
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "analysis.json"])
         assert "V1m" in capsys.readouterr().out
-        # the written estimate is the fitted one: 0 on the unobserved band,
-        # and its acceptance-weighted refit gives the logged visibilities
+        # the written estimate is the fitted one, float64 bit for bit: 0 on
+        # the unobserved band, and its acceptance-weighted refit gives the
+        # logged visibilities to rounding
         counts, acceptance = corrected_counts(result.accumulator, result.camera)
         grid = result.camera.pixel_grid()
-        data = np.loadtxt(out / "estimate.csv", delimiter=",", skiprows=1)
-        estimate = JointPattern2D(grid, data[:, 2].reshape(grid.n, grid.n))
+        values = np.load(out / "estimate.npy")
+        assert values.dtype == np.float64 and values.shape == (grid.n, grid.n)
+        assert np.array_equal(values, finalize(result.accumulator, result.camera).values)
+        estimate = JointPattern2D(grid, values)
         assert np.all(estimate.values[acceptance == 0] == 0.0)
         refit = fit_joint_visibility(estimate, PERIOD, acceptance)
-        assert refit.amp_single / refit.offset == pytest.approx(report["v1m"], rel=1e-8)
-        assert refit.v12 == pytest.approx(report["v12_ratio"], rel=1e-8)
+        assert refit.amp_single / refit.offset == pytest.approx(report["v1m"], rel=1e-12)
+        assert refit.v12 == pytest.approx(report["v12_ratio"], rel=1e-12)
         # the written marginal is the band-excluded one the chi-square tests
         _, marginal = read_pattern_csv(out / "estimate_marginal.csv")
         want = counts.sum(axis=1)
@@ -401,7 +427,14 @@ class TestAnalyze:
         assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
         assert main(["analyze", str(run / "frames.bifr"), "--out", str(out)]) == 3
         assert "empty frames" in capsys.readouterr().err
-        assert not (out / "analysis.json").exists()
+        assert not out.exists()
+
+    def test_failed_analysis_leaves_no_output_directory(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bifr"
+        bad.write_bytes(b"BIFR\x02\x00")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "a" / "b" / "out")]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.bifr"), "--out", str(tmp_path)]) == 3
@@ -414,8 +447,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("width, height", [(256, 512), (512, 300)])
     def test_frames_not_of_the_camera_exit_2(self, tmp_path, capsys, width, height):
         path = tmp_path / "small.bifr"
-        frames = [np.zeros((height, width), np.uint16)] * 3
-        write_frames(path, width, height, iter(frames), 3)
+        blank = (3, np.empty(0, np.int64), np.empty(0, np.uint16))
+        write_frames(path, width, height, [blank], 3)
         assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 2
         assert "512x512 camera" in capsys.readouterr().err
 
@@ -435,6 +468,16 @@ class TestSweep:
         circle = np.loadtxt(out / "circle.csv", delimiter=",", skiprows=1)
         assert np.allclose(circle[:, 0] ** 2 + circle[:, 1] ** 2, 1.0, atol=1e-12)
         assert "V12" in capsys.readouterr().out
+
+    def test_monte_carlo_values_reach_stdout(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--monte-carlo", "--frames", "3000", "--seed", "4", "--d", "0.54", "--out", str(out)]
+        assert main(argv) == 0
+        (point,) = json.loads((out / "sweep.json").read_text())["points"]
+        (line,) = capsys.readouterr().out.splitlines()
+        assert f"V1m = {point['v1m']:.4f}  V12 = {point['v12']:.4f}" in line
+        assert line.endswith(f"MC V1m = {point['mc_v1m']:.4f}  MC V12 = {point['mc_v12']:.4f}")
+        assert point["mc_v1m"] != point["v1m"] and point["mc_v12"] != point["v12"]
 
 
 class TestFlags:

@@ -1,4 +1,4 @@
-"""Binary frame-file format and the CSV/PGM writers."""
+"""Binary frame-file format, versions 1 and 2, and the CSV/PGM writers."""
 
 import errno
 import struct
@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle import scatter
-from twophoton import frameio
+from oracle import read_pattern_csv, records, scatter, v2_to_v1, write_v1, write_v2
+from twophoton import cli, frameio
 from twophoton.errors import FrameFormatError, InvalidParameterError
 from twophoton.frameio import (
     HEADER_SIZE,
@@ -17,7 +17,6 @@ from twophoton.frameio import (
     FrameFileHeader,
     FrameFileReader,
     read_header,
-    read_pattern_csv,
     write_frames,
     write_joint_csv,
     write_pattern_csv,
@@ -33,8 +32,17 @@ def make_frames(n, w=8, h=6, seed=0):
     return [rng.integers(0, 65536, (h, w)).astype(np.uint16) for _ in range(n)]
 
 
+def blocks(frames, size=None):
+    """Dense frames as the ``(n, key, value)`` blocks ``write_frames`` takes."""
+    frames = np.stack(frames)
+    size = size or len(frames)
+    for lo in range(0, len(frames), size):
+        part = frames[lo : lo + size]
+        yield (len(part), *records(part, (0, part.shape[1])))
+
+
 def failing_source():
-    yield from make_frames(2)
+    yield from blocks(make_frames(2))
     raise RuntimeError("the frame source failed")
 
 
@@ -114,8 +122,9 @@ class TestWriteRead:
     def test_roundtrip(self, tmp_path):
         frames = make_frames(5)
         p = tmp_path / "run.bifr"
-        write_frames(p, 8, 6, iter(frames), 5)
+        write_frames(p, 8, 6, blocks(frames, 2), 5)
         reader = FrameFileReader(p)
+        assert reader.header.version == VERSION == 2
         assert len(reader) == 5
         assert reader.shape == (6, 8)
         for k in range(5):
@@ -125,7 +134,7 @@ class TestWriteRead:
         # a range of whole frames is the records of every row
         frames = make_frames(6)
         p = tmp_path / "run.bifr"
-        write_frames(p, 8, 6, iter(frames), 6)
+        write_frames(p, 8, 6, blocks(frames), 6)
         key, value = FrameFileReader(p).strip_records(2, 5, (0, 6))
         assert np.array_equal(scatter(key, value, (3, 6, 8)), np.stack(frames[2:5]))
 
@@ -144,29 +153,30 @@ class TestWriteRead:
     def test_count_mismatch_on_write(self, tmp_path):
         p = tmp_path / "m.bifr"
         with pytest.raises(FrameFormatError):
-            write_frames(p, 8, 6, iter(make_frames(3)), 4)
+            write_frames(p, 8, 6, blocks(make_frames(3)), 4)
         assert not p.exists()
 
     def test_shape_mismatch_on_write(self, tmp_path):
+        # the records of a 9-wide frame run past an 8-wide one
         p = tmp_path / "m.bifr"
         with pytest.raises(FrameFormatError):
-            write_frames(p, 9, 6, iter(make_frames(1)), 1)
+            write_frames(p, 8, 6, blocks(make_frames(1, w=9)), 1)
         assert not p.exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "t.bifr"
-        write_frames(p, 8, 6, iter(make_frames(3)), 3)
+        write_frames(p, 8, 6, blocks(make_frames(3)), 3)
         raw = p.read_bytes()
         p.write_bytes(raw[:-10])
         with pytest.raises(FrameFormatError):
             FrameFileReader(p)
 
     def test_strip_block_reads_rows(self, tmp_path):
-        # the reader's dense row read, and the records it converts once
+        # version 1's dense row read, and the records it converts once
         frames = make_frames(7)
         frames[3][:] = 0
         path = tmp_path / "f.bifr"
-        write_frames(path, 8, 6, frames, 7)
+        write_v1(path, 8, 6, frames, 7)
         reader = FrameFileReader(path)
         want = np.stack([f[1:4] for f in frames[2:6]])
         assert np.array_equal(reader._strip_block(2, 6, (1, 4)), want)
@@ -177,7 +187,7 @@ class TestWriteRead:
 
     def test_strip_block_out_of_range(self, tmp_path):
         path = tmp_path / "f.bifr"
-        write_frames(path, 8, 6, make_frames(3), 3)
+        write_frames(path, 8, 6, blocks(make_frames(3)), 3)
         reader = FrameFileReader(path)
         with pytest.raises(IndexError):
             reader.strip_records(1, 4, (0, 6))
@@ -186,28 +196,33 @@ class TestWriteRead:
 
     def test_frame_index_out_of_range(self, tmp_path):
         p = tmp_path / "r.bifr"
-        write_frames(p, 8, 6, iter(make_frames(2)), 2)
+        write_frames(p, 8, 6, blocks(make_frames(2)), 2)
         with pytest.raises(IndexError):
             FrameFileReader(p).frame(2)
 
     def test_file_that_does_not_fit_is_not_written(self, tmp_path, monkeypatch):
-        need = HEADER_SIZE + 3 * 8 * 6 * 2
+        # a version-2 file takes at least its header and 12 bytes per frame
+        need = HEADER_SIZE + 3 * 12
         monkeypatch.setattr(frameio.shutil, "disk_usage", lambda path: SimpleNamespace(free=need - 1))
         p = tmp_path / "full.bifr"
+        frames = make_frames(3)
         with pytest.raises(OSError) as err:
-            write_frames(p, 8, 6, iter(make_frames(3)), 3)
+            write_frames(p, 8, 6, blocks(frames), 3)
         assert err.value.errno == errno.ENOSPC
         assert not p.exists()
         # the file it replaces is space it frees
         p.write_bytes(b"x")
-        write_frames(p, 8, 6, iter(make_frames(3)), 3)
-        assert p.stat().st_size == need
+        write_frames(p, 8, 6, blocks(frames), 3)
+        assert p.stat().st_size == need + 6 * np.count_nonzero(np.stack(frames))
 
     def test_little_endian_on_disk(self, tmp_path):
-        frame = np.full((1, 1), 0x0102, dtype=np.uint16)
+        # count 1, record (index 1, value 0x0102), then the offset table
+        frame = np.array([[0, 0x0102]], dtype=np.uint16)
         p = tmp_path / "e.bifr"
-        write_frames(p, 1, 1, iter([frame]), 1)
-        assert p.read_bytes()[HEADER_SIZE:] == b"\x02\x01"
+        write_frames(p, 2, 1, blocks([frame]), 1)
+        assert p.read_bytes()[HEADER_SIZE:] == (
+            b"\x01\0\0\0" + b"\x01\0\0\0" + b"\x02\x01" + HEADER_SIZE.to_bytes(8, "little")
+        )
 
 
 class TestCsvAndPgm:
@@ -287,3 +302,105 @@ class TestSourceProtocol:
                 assert np.array_equal(key, got_key) and np.array_equal(value, got_value)
         # the whole run lights pixels in every window
         assert all(sim.strip_records(0, 150, rows)[0].size for rows in windows)
+        assert reader.header.version == 2
+
+    def test_v2_records_need_no_dense_block(self, tmp_path, monkeypatch):
+        cam = CameraModel(width=96, height=64, strip_rows=(20, 51), dark_rate=1.0)
+        grid = cam.pixel_grid()
+        pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
+        sim = FrameSimulator(pdf, cam, 100, 3.0, 5)
+        sim.write(tmp_path / "run.bifr")
+        want = sim.strip_records(0, 100, _strip_window(cam))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.flatnonzero called")
+
+        monkeypatch.setattr(np, "flatnonzero", refuse)
+        got = FrameFileReader(tmp_path / "run.bifr").strip_records(0, 100, _strip_window(cam))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestVersions:
+    def test_v1_v2_v1_is_byte_identical(self, tmp_path):
+        # sparse frames, a blank one and a fully lit one
+        rng = np.random.default_rng(3)
+        frames = np.where(rng.random((6, 6, 8)) < 0.1, rng.integers(1, 65536, (6, 6, 8)), 0)
+        frames[2] = 0
+        frames[4] = rng.integers(1, 65536, (6, 8))
+        v1, v2, back = tmp_path / "v1.bifr", tmp_path / "v2.bifr", tmp_path / "back.bifr"
+        write_v1(v1, 8, 6, frames, 6)
+        write_v2(v2, FrameFileReader(v1), block=4)
+        assert FrameFileReader(v2).header.version == 2
+        assert v2.stat().st_size == HEADER_SIZE + 6 * 12 + 6 * np.count_nonzero(frames)
+        v2_to_v1(v2, back)
+        assert back.read_bytes() == v1.read_bytes()
+
+    def test_v2_v1_v2_of_a_run_is_byte_identical(self, tmp_path):
+        cam = CameraModel(width=64, height=48, strip_rows=(10, 30), dark_rate=2.0)
+        grid = cam.pixel_grid()
+        pdf = JointPattern2D(grid, np.ones((grid.n, grid.n)) / (grid.n * grid.spacing) ** 2, "coincidence")
+        sim = FrameSimulator(pdf, cam, 70, 2.0, 8)
+        v2, v1, again = tmp_path / "v2.bifr", tmp_path / "v1.bifr", tmp_path / "again.bifr"
+        sim.write(v2)
+        v2_to_v1(v2, v1)
+        write_v2(again, FrameFileReader(v1), block=16)
+        assert again.read_bytes() == v2.read_bytes()
+        # and the version-1 file holds the simulator's dense frames
+        assert np.array_equal(FrameFileReader(v1).frame(69), sim.frame(69))
+
+
+def corrupt_v2(path, width=512, height=512):
+    """Three frames: records at indices (5, 9), none, and (1, 2, 7); the
+    frames start at bytes 21, 37 and 41, and the offset table at 63."""
+    keys = np.array([5, 9, 2 * width * height + 1, 2 * width * height + 2, 2 * width * height + 7])
+    write_frames(path, width, height, [(3, keys, np.arange(1, 6, dtype=np.uint16))], 3)
+    return bytearray(path.read_bytes())
+
+
+def poke(raw, offset, fmt, value):
+    struct.pack_into(fmt, raw, offset, value)
+    return raw
+
+
+CORRUPT = {
+    # entry 2 points back before entry 1
+    "offset table not monotone": (lambda raw: poke(raw, 63 + 16, "<Q", 21), 63 + 8),
+    "count disagrees with the offset table": (lambda raw: poke(raw, 21, "<I", 3), 21),
+    "count overruns the file": (lambda raw: poke(raw, 41, "<I", 1000), 41),
+    "index past the frame": (lambda raw: poke(raw, 41 + 4 + 6, "<I", 512 * 512), 41 + 4 + 6),
+    "index not increasing": (lambda raw: poke(raw, 41 + 4 + 6, "<I", 1), 41 + 4 + 6),
+    "record of value 0": (lambda raw: poke(raw, 41 + 4 + 6 + 4, "<H", 0), 41 + 4 + 6),
+    "file cut inside the offset table": (lambda raw: raw[:-4], 83 - 24),
+}
+
+
+class TestCorruptV2:
+    def test_layout_of_the_corrupted_file(self, tmp_path):
+        raw = corrupt_v2(tmp_path / "ok.bifr")
+        assert len(raw) == 63 + 24
+        assert np.array_equal(np.frombuffer(bytes(raw[63:]), "<u8"), [21, 37, 41])
+        reader = FrameFileReader(tmp_path / "ok.bifr")
+        key, value = reader.strip_records(0, 3, (0, 512))
+        assert key.tolist() == [5, 9, 2 * 512 * 512 + 1, 2 * 512 * 512 + 2, 2 * 512 * 512 + 7]
+        assert value.tolist() == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("case", CORRUPT)
+    def test_raises_with_the_byte_offset(self, tmp_path, case):
+        damage, offset = CORRUPT[case]
+        path = tmp_path / "bad.bifr"
+        path.write_bytes(bytes(damage(corrupt_v2(path))))
+        with pytest.raises(FrameFormatError) as err:
+            FrameFileReader(path).strip_records(0, 3, (0, 512))
+        assert err.value.offset == offset
+        assert f"(byte offset {offset})" in str(err.value)
+
+    @pytest.mark.parametrize("case", CORRUPT)
+    def test_analyze_exits_3(self, tmp_path, capsys, case):
+        damage, offset = CORRUPT[case]
+        path = tmp_path / "bad.bifr"
+        path.write_bytes(bytes(damage(corrupt_v2(path))))
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and f"(byte offset {offset})" in err
+        assert not out.exists()

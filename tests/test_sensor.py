@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracle import scatter
+from oracle import records, scatter
 from twophoton import sensor
 from twophoton.errors import InvalidParameterError, StreamMismatchError
 from twophoton.frameio import write_frames
@@ -392,7 +392,8 @@ class TestBlockDraw:
                 assert np.array_equal(scatter(key, value, want.shape), want)
             assert np.array_equal(sim.frame(lo + 5), ref[lo + 5])
         sim.write(tmp_path / "block.bifr")
-        write_frames(tmp_path / "oracle.bifr", cam.width, cam.height, iter(ref), n_frames)
+        oracle = [(n_frames, *records(ref, (0, cam.height)))]
+        write_frames(tmp_path / "oracle.bifr", cam.width, cam.height, oracle, n_frames)
         assert (tmp_path / "block.bifr").read_bytes() == (tmp_path / "oracle.bifr").read_bytes()
 
     def test_blocks_hold_photons_and_darks(self):
