@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .biphoton import ApertureCorrelations, PumpProfile, real_psi
 from .errors import AliasingWarning, EmptyEstimateError, InvalidParameterError
 from .framepipe import (
     AnalysisResult,
+    acceptance_profile,
     accidental_fraction,
     analyze_source,
-    corrected_counts,
+    corrected_cells,
     estimate_pair_rate,
 )
 from .optics import (
@@ -37,8 +39,12 @@ from .patterns import (
 from .sensor import CameraModel, FrameSimulator, require_finite
 from .visibility import (
     JointFit,
+    ToeplitzNormal,
     VisibilitySet,
+    fit_joint_cells,
+    # unused here; bound for the benchmark harness's trace hook until the hooks go
     fit_joint_visibility,
+    toeplitz_normal,
     visibilities_from_psi,
 )
 
@@ -190,25 +196,39 @@ class RecoveredVisibilities:
     joint_fit: JointFit
 
 
+@lru_cache(maxsize=64)
+def _fit_geometry(cam: CameraModel, period: float) -> ToeplitzNormal:
+    """The acceptance-weighted normal equations of ``cam``'s pixel grid at
+    ``period``: everything of the fit that no count enters, built on the
+    first fit of each camera and period and shared, read-only, after."""
+    return toeplitz_normal(cam.pixel_grid(), period, acceptance_profile(cam)[0])
+
+
 def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisibilities:
     """Fit the visibilities to the acceptance-corrected pair counts.
 
-    The fit is weighted by the per-cell acceptance of ``corrected_counts``,
-    the inverse variance of a corrected count up to the slowly varying G2
-    itself; its zeros, the near-diagonal band the pipeline cannot resolve,
-    are never read.  Accidental cross pairs add the product of the
-    marginals to the counts; it carries no difference fringe, so the
-    difference amplitude holds the pairs' V12 diluted by 1 - eps, with eps
-    estimated from the empty-frame fraction and the quantum efficiency of
-    the result's camera.  A stream with no empty frame gives no estimate of
-    eps and raises ``EmptyEstimateError``.
+    The fit is ``fit_joint_visibility`` of ``corrected_counts`` weighted by
+    the per-cell acceptance, the inverse variance of a corrected count up to
+    the slowly varying G2 itself; its zeros, the near-diagonal band the
+    pipeline cannot resolve, are never read.  It is computed as
+    ``fit_joint_cells`` of the observed cells (``corrected_cells``) against
+    normal equations cached per camera and period, so a fit costs time in
+    proportion to the observed cells, not the camera's width squared.  The
+    cached matrix holds the acceptance weights only: a fit under other
+    weights, such as a reweighted pass, needs normal equations of its own.
+
+    Accidental cross pairs add the product of the marginals to the counts;
+    it carries no difference fringe, so the difference amplitude holds the
+    pairs' V12 diluted by 1 - eps, with eps estimated from the empty-frame
+    fraction and the quantum efficiency of the result's camera.  A stream
+    with no empty frame gives no estimate of eps and raises
+    ``EmptyEstimateError``.
     """
     acc, cam = result.accumulator, result.camera
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to fit")
-    counts, acceptance = corrected_counts(acc, cam)
-    pattern = JointPattern2D(cam.pixel_grid(), counts, "coincidence")
-    jfit = fit_joint_visibility(pattern, period, acceptance)
+    rows, cols, counts = corrected_cells(acc, cam)
+    jfit = fit_joint_cells(_fit_geometry(cam, period), rows, cols, counts)
     qe = cam.quantum_efficiency
     eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
     v12 = float((jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps)))

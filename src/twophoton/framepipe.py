@@ -9,11 +9,13 @@ exactly two remaining events whose vertical separation is less than
 increment to the coincidence accumulator.
 ``corrected_counts`` divides the geometry of the vertical-separation filter
 out of the accumulated counts and returns it as a per-cell acceptance, 0 on
-the resolution-limited near-diagonal band.  That acceptance is the
+the resolution-limited near-diagonal band; ``acceptance_profile`` holds that
+acceptance once per camera, as a function of the separation.  It is the
 visibility fit's weight, and the fit reads only the cells where it is
-positive.  ``finalize`` scales the corrected counts to a normalized joint
-pattern for display and export, 0 on the zero-acceptance cells it never
-observed.  ``marginal_consistency`` tests the G2 marginal against the
+positive: ``corrected_cells`` lists the corrected counts of the observed
+cells, those of nonzero count and positive acceptance.  ``finalize`` scales
+the corrected counts to a normalized joint pattern for display and export,
+0 on the zero-acceptance cells it never observed.  ``marginal_consistency`` tests the G2 marginal against the
 singles histogram by chi-square, with ``scipy.special.chdtrc`` as p-value.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
@@ -31,6 +33,7 @@ the per-frame reference it must equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg, ndimage, sparse, special
@@ -264,31 +267,70 @@ def vertical_acceptance(delta_col: np.ndarray | int, strip_height: int) -> np.nd
     return float(out) if np.isscalar(delta_col) else out
 
 
+@lru_cache(maxsize=64)
+def acceptance_profile(cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's acceptance at each horizontal separation 0..width-1, and its
+    reciprocal.
+
+    The acceptance is ``vertical_acceptance`` over the camera's strip, and 0
+    on the missing cells: the near-diagonal band |col' - col''| <=
+    ``cam.patch_size``, where two photons merge into one patch, and every
+    separation the filter never accepts.  The reciprocal is 0 where the
+    acceptance is.  Both arrays are cached per camera and read-only.
+    """
+    idx = np.arange(cam.width)
+    accept = vertical_acceptance(idx, cam.strip_height)
+    accept[idx <= cam.patch_size] = 0.0
+    # one division per separation, not one per cell
+    scale = np.divide(1.0, accept, out=np.zeros_like(accept), where=accept > 0)
+    accept.flags.writeable = scale.flags.writeable = False  # shared by every caller
+    return accept, scale
+
+
+def _check_width(acc: CoincidenceAccumulator, cam: CameraModel) -> None:
+    if acc.width != cam.width:
+        raise InvalidParameterError(
+            f"accumulator width {acc.width} differs from the camera width {cam.width}"
+        )
+
+
+def _corrected(acc: CoincidenceAccumulator, cam: CameraModel) -> np.ndarray:
+    _check_width(acc, cam)
+    return acc.matrix * linalg.toeplitz(acceptance_profile(cam)[1])
+
+
 def corrected_counts(
     acc: CoincidenceAccumulator, cam: CameraModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Acceptance-corrected pair counts and the per-cell acceptance.
 
-    A cell's acceptance is the vertical-filter acceptance at its horizontal
-    separation over the camera's strip, and 0 on the missing cells: the
-    near-diagonal band |col' - col''| <= ``cam.patch_size``, where two
-    photons merge into one patch, and every separation the filter never
-    accepts.  A count is the raw count over its acceptance (0 where that is
-    0), so its Poisson variance is count / acceptance.  The acceptance is the visibility fit's weight,
-    that variance's inverse up to the slowly varying G2, and its zeros are
-    the cells the fit never reads.  Both matrices are Toeplitz: they depend
-    only on |delta col|.
+    A cell's acceptance is that of ``acceptance_profile`` at its horizontal
+    separation.  A count is the raw count over its acceptance (0 where that
+    is 0), so its Poisson variance is count / acceptance.  The acceptance is
+    the visibility fit's weight, that variance's inverse up to the slowly
+    varying G2, and its zeros are the cells the fit never reads.  Both
+    matrices are Toeplitz: they depend only on |delta col|.
     """
-    if acc.width != cam.width:
-        raise InvalidParameterError(
-            f"accumulator width {acc.width} differs from the camera width {cam.width}"
-        )
-    idx = np.arange(acc.width)
-    accept = vertical_acceptance(idx, cam.strip_height)
-    accept[idx <= cam.patch_size] = 0.0
-    # one division per separation, not one per cell
-    scale = np.divide(1.0, accept, out=np.zeros_like(accept), where=accept > 0)
-    return acc.matrix * linalg.toeplitz(scale), linalg.toeplitz(accept)
+    counts = _corrected(acc, cam)
+    return counts, linalg.toeplitz(acceptance_profile(cam)[0])
+
+
+def corrected_cells(
+    acc: CoincidenceAccumulator, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of ``corrected_counts`` at the observed cells.
+
+    A cell is observed when its count is nonzero and its acceptance
+    positive; the cells come in row-major order.  Past one comparison of the
+    matrix with 0, the work is proportional to the number of such cells.
+    """
+    _check_width(acc, cam)
+    accept, scale = acceptance_profile(cam)
+    cells = np.flatnonzero(acc.matrix != 0)
+    rows, cols = np.divmod(cells, acc.width)
+    sep = np.abs(rows - cols)
+    seen = accept[sep] > 0
+    return rows[seen], cols[seen], np.take(acc.matrix, cells[seen]) * scale[sep[seen]]
 
 
 def finalize(acc: CoincidenceAccumulator, cam: CameraModel) -> JointPattern2D:
@@ -304,7 +346,7 @@ def finalize(acc: CoincidenceAccumulator, cam: CameraModel) -> JointPattern2D:
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    est, _ = corrected_counts(acc, cam)
+    est = _corrected(acc, cam)
     grid = cam.pixel_grid()
     total = est.sum() * grid.spacing**2
     if total <= 0:

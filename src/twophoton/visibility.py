@@ -7,15 +7,23 @@ For a real entanglement parameter psi the three visibilities are
     V12 = (1 - psi^2) / (1 + psi^2)   (two-photon)
 
 and V1m^2 + V12^2 = 1 identically.
+
+``fit_joint_visibility`` fits a dense joint pattern under any weights.  A
+weight that depends on |i - j| alone, such as the acceptance of a camera's
+vertical-separation filter, gives normal equations that depend on the grid,
+the fringe period and that weight only: ``toeplitz_normal`` builds them once,
+and ``fit_joint_cells`` fits the listed cells of a pattern against them, in
+time proportional to the number of cells.  A cell not listed holds 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnderDeterminedFitError
+from .optics import SpatialGrid
 from .patterns import FringePattern1D, JointPattern2D
 
 
@@ -144,6 +152,56 @@ class JointFit:
     residual: float
 
 
+def _check_joint_span(grid: SpatialGrid, period: float) -> None:
+    if period <= 0:
+        raise InvalidParameterError("period must be positive")
+    if grid.extent < 2 * period:
+        raise UnderDeterminedFitError("joint pattern must span >= 2 periods")
+
+
+def _check_weights(w: np.ndarray) -> None:
+    # NaN fails both comparisons
+    if not (w.min() >= 0 and w.max() < np.inf):
+        raise InvalidParameterError("weights must be finite and non-negative")
+
+
+def _joint_gram(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The 7x7 normal matrix of the joint basis under the cell weights ``w``.
+
+    Gram[a, b] = sum_ij w_ij phi_a(i, j) phi_b(i, j)
+               = sum A_a[k, l] A_b[m, n] H[km, ln],  H = h^T w h,  h_i = g_i (x) g_i
+    """
+    h = np.einsum("ki,mi->kmi", g, g).reshape(9, g.shape[1])
+    hw = np.einsum("ij,qj->qi", w, h)
+    big_h = np.einsum("pi,qi->pq", h, hw).reshape(3, 3, 3, 3)
+    half = np.einsum("akl,kmln->amn", _JOINT_BASIS, big_h)
+    return np.einsum("amn,bmn->ab", half, _JOINT_BASIS)
+
+
+def _rhs(row_sums: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """rhs[a] = A_a : (g^T (w y) g), from row_sums[l, i] = sum_j (w y)_ij g_l(j)."""
+    return np.einsum("akl,kl->a", _JOINT_BASIS, np.einsum("ki,li->kl", g, row_sums))
+
+
+def _model_rows(coef: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """m[l, i] with model(i, j) = sum_l m[l, i] g_l(j)."""
+    return np.einsum("kl,ki->li", np.einsum("a,akl->kl", coef, _JOINT_BASIS), g)
+
+
+def _joint_fit(coef: np.ndarray, residual: float) -> JointFit:
+    a, b, c = float(coef[0]), float(coef[1]), float(coef[3])
+    single = float(np.hypot(coef[5], coef[6]))
+    # B + C = c_S + c_D - |c1|^2 / c0; the one-photon shares of B and C
+    # cancel in B - C = c_S - c_D
+    shift = single**2 / a if a > 0 else 0.0
+    denom = b - c
+    if abs(denom) < 1e-12 * max(abs(a), 1e-300):
+        v12 = 0.0
+    else:
+        v12 = float((b + c - shift) / denom)
+    return JointFit(v12, b, c, single, a, residual)
+
+
 def fit_joint_visibility(
     pattern: JointPattern2D,
     period: float,
@@ -164,49 +222,92 @@ def fit_joint_visibility(
     The reductions are two-operand ``einsum`` calls, which run no threaded
     BLAS routine.
     """
-    if period <= 0:
-        raise InvalidParameterError("period must be positive")
     grid = pattern.grid
-    if grid.extent < 2 * period:
-        raise UnderDeterminedFitError("joint pattern must span >= 2 periods")
+    _check_joint_span(grid, period)
     y = np.asarray(pattern.values, dtype=float)
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != y.shape:
         raise InvalidParameterError("weights must have the pattern's shape")
-    # NaN fails both comparisons
-    if not (w.min() >= 0 and w.max() < np.inf):
-        raise InvalidParameterError("weights must be finite and non-negative")
+    _check_weights(w)
     sel = w > 0
     if np.count_nonzero(sel) < 10:
         raise UnderDeterminedFitError("too few cells selected for a joint fit")
     # zero-weight cells are never read, as in a fit of the selected rows
     y = np.where(sel, y, 0.0)
     g = _fringe_basis(grid.positions, period)
-    n = grid.n
-    # Gram[a, b] = sum_ij w_ij phi_a(i, j) phi_b(i, j)
-    #            = sum A_a[k, l] A_b[m, n] H[km, ln],  H = h^T w h,  h_i = g_i (x) g_i
-    h = np.einsum("ki,mi->kmi", g, g).reshape(9, n)
-    hw = np.einsum("ij,qj->qi", w, h)
-    big_h = np.einsum("pi,qi->pq", h, hw).reshape(3, 3, 3, 3)
-    half = np.einsum("akl,kmln->amn", _JOINT_BASIS, big_h)
-    gram = np.einsum("amn,bmn->ab", half, _JOINT_BASIS)
-    # rhs[a] = A_a : (g^T (w y) g)
-    wy_g = np.einsum("ij,lj->li", w * y, g)
-    rhs = np.einsum("akl,kl->a", _JOINT_BASIS, np.einsum("ki,li->kl", g, wy_g))
-    coef = _solve_normal(gram, rhs)
-    a, b, c = float(coef[0]), float(coef[1]), float(coef[3])
-    single = float(np.hypot(coef[5], coef[6]))
-    model_a = np.einsum("a,akl->kl", coef, _JOINT_BASIS)
-    model = np.einsum("li,lj->ij", np.einsum("kl,ki->li", model_a, g), g)
+    coef = _solve_normal(_joint_gram(w, g), _rhs(np.einsum("ij,lj->li", w * y, g), g))
+    model = np.einsum("li,lj->ij", _model_rows(coef, g), g)
     model -= y
     model *= sel
-    resid = _norm(model) / max(_norm(y), 1e-300)
-    # B + C = c_S + c_D - |c1|^2 / c0; the one-photon shares of B and C
-    # cancel in B - C = c_S - c_D
-    shift = single**2 / a if a > 0 else 0.0
-    denom = b - c
-    if abs(denom) < 1e-12 * max(abs(a), 1e-300):
-        v12 = 0.0
+    return _joint_fit(coef, _norm(model) / max(_norm(y), 1e-300))
+
+
+@dataclass(frozen=True, eq=False)
+class ToeplitzNormal:
+    """The data-free part of a joint fit whose weight depends on |i - j| alone.
+
+    ``profile[d]`` is the weight of every cell at |i - j| = d, ``basis`` is
+    g = [1, cos t, sin t] at the grid's positions, ``gram`` the weighted
+    normal matrix, ``unit_gram`` the normal matrix of unit weights over the
+    cells of positive weight and ``selected`` the number of those cells.
+    The arrays are read-only, so one instance can be shared by every fit.
+    """
+
+    profile: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+    unit_gram: np.ndarray = field(repr=False)
+    selected: int
+
+
+def toeplitz_normal(grid: SpatialGrid, period: float, profile: np.ndarray) -> ToeplitzNormal:
+    """Normal equations of ``fit_joint_visibility`` under the weights
+    profile[|i - j|], with the dense fit's checks of the period, the span,
+    the weights and the number of selected cells."""
+    _check_joint_span(grid, period)
+    profile = np.array(profile, dtype=float)
+    if profile.shape != (grid.n,):
+        raise InvalidParameterError("weight profile must have one entry per grid point")
+    _check_weights(profile)
+    idx = np.arange(grid.n)
+    w = profile[np.abs(idx[:, None] - idx)]
+    sel = w > 0
+    selected = int(np.count_nonzero(sel))
+    if selected < 10:
+        raise UnderDeterminedFitError("too few cells selected for a joint fit")
+    g = _fringe_basis(grid.positions, period)
+    normal = ToeplitzNormal(profile, g, _joint_gram(w, g), _joint_gram(sel.astype(float), g), selected)
+    for arr in (normal.profile, normal.basis, normal.gram, normal.unit_gram):
+        arr.flags.writeable = False
+    return normal
+
+
+def fit_joint_cells(
+    normal: ToeplitzNormal, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> JointFit:
+    """``fit_joint_visibility`` of the pattern that holds ``values`` at the
+    cells (``rows``, ``cols``) and 0 elsewhere, under ``normal``'s weights.
+
+    Each cell is listed at most once and has positive weight; cells of
+    weight 0 are not listed.  The right-hand side takes per-row sums of
+    w y g(j) and projects them onto g, the dense fit's order of summation.
+    The residual is sum model^2 over the selected cells, a quadratic form in
+    ``unit_gram``, minus 2 sum model y plus sum y^2 over the listed cells;
+    when they are every selected cell, where the expansion would cancel,
+    it is sum (model - y)^2 over them.
+    """
+    g = normal.basis
+    w = normal.profile[np.abs(rows - cols)]
+    if not np.all(w > 0):
+        raise InvalidParameterError("every listed cell must have positive weight")
+    wy, g_cols = w * values, g[:, cols]
+    row_sums = np.stack([np.bincount(rows, wy * g_l, minlength=g.shape[1]) for g_l in g_cols])
+    coef = _solve_normal(normal.gram, _rhs(row_sums, g))
+    model = np.einsum("li,li->i", _model_rows(coef, g)[:, rows], g_cols)
+    yy = np.einsum("i,i->", values, values)
+    if rows.size == normal.selected:
+        ss = np.einsum("i,i->", model - values, model - values)
     else:
-        v12 = float((b + c - shift) / denom)
-    return JointFit(v12, b, c, single, a, resid)
+        quad = np.einsum("a,a->", coef, np.einsum("ab,b->a", normal.unit_gram, coef))
+        ss = quad - 2 * np.einsum("i,i->", model, values) + yy
+    return _joint_fit(coef, float(np.sqrt(max(ss, 0.0)) / max(np.sqrt(yy), 1e-300)))

@@ -10,9 +10,14 @@ from scipy import stats
 
 import twophoton as tp
 from oracle import expected_accumulator
-from twophoton import framepipe, patterns
+from twophoton import framepipe, patterns, visibility
 from twophoton.biphoton import ApertureCorrelations
-from twophoton.errors import AliasingWarning, EmptyEstimateError, InvalidParameterError
+from twophoton.errors import (
+    AliasingWarning,
+    EmptyEstimateError,
+    InvalidParameterError,
+    UnderDeterminedFitError,
+)
 from twophoton.framepipe import (
     AnalysisResult,
     accidental_fraction,
@@ -20,6 +25,7 @@ from twophoton.framepipe import (
     estimate_pair_rate,
 )
 from twophoton.optics import SpatialGrid, slit_averaged_rows, slit_rows
+from twophoton.patterns import JointPattern2D
 from twophoton.sensor import CameraModel
 from twophoton.visibility import fit_joint_visibility
 
@@ -107,6 +113,127 @@ def test_closure_reads_no_band_fill(monkeypatch):
     monkeypatch.setattr(tp.experiment, "excess_pattern", refuse)
     closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
     assert 0.0 < closure.recovered.v1m <= 1.0
+
+
+def test_hot_path_builds_no_dense_pattern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit built a dense corrected-count pattern")
+
+    monkeypatch.setattr(framepipe, "corrected_counts", refuse)
+    monkeypatch.setattr(framepipe, "_corrected", refuse)
+    monkeypatch.setattr(tp.experiment, "fit_joint_visibility", refuse)
+    monkeypatch.setattr(visibility, "fit_joint_visibility", refuse)
+    closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
+    assert 0.0 < closure.recovered.v1m <= 1.0
+
+
+FIT_FIELDS = ("v12", "amp_sum", "amp_diff", "amp_single", "offset", "residual")
+
+
+def dense_recovery(acc, cam, period):
+    """``recover_visibilities`` by the dense route: ``corrected_counts``
+    weighted by the acceptance through ``fit_joint_visibility``."""
+    counts, acceptance = framepipe.corrected_counts(acc, cam)
+    jfit = fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
+    eps = tp.recover_visibilities(AnalysisResult(acc, cam), period).accidentals
+    v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
+    return jfit, jfit.amp_single / jfit.offset, v12
+
+
+def assert_pair_fit_is_dense(acc, cam, period, residual_abs=None):
+    rec = tp.recover_visibilities(AnalysisResult(acc, cam), period)
+    jfit, v1m, v12 = dense_recovery(acc, cam, period)
+    assert rec.v1m == pytest.approx(v1m, rel=1e-12)
+    assert rec.v12 == pytest.approx(v12, rel=1e-12)
+    assert rec.v12_ratio == pytest.approx(jfit.v12, rel=1e-12)
+    for name in FIT_FIELDS[:-1]:
+        assert getattr(rec.joint_fit, name) == pytest.approx(getattr(jfit, name), rel=1e-12), name
+    if residual_abs is None:
+        assert rec.joint_fit.residual == pytest.approx(jfit.residual, rel=1e-12)
+    else:
+        assert abs(rec.joint_fit.residual - jfit.residual) <= residual_abs
+    return rec
+
+
+@pytest.mark.parametrize("mean_pairs", [0.5, 1.0, 3.0])
+def test_pair_fit_equals_the_dense_fit(mean_pairs):
+    for seed in range(8):
+        config = tp.ExperimentConfig(n_frames=3000, mean_pairs=mean_pairs, seed=700 + seed)
+        acc = analyze_source(tp.build_simulator(config, psi=0.6), config.camera).accumulator
+        assert_pair_fit_is_dense(acc, config.camera, config.fringe_period)
+
+
+@pytest.mark.parametrize("mean_pairs", [0.5, 3.0])
+@pytest.mark.parametrize("distance", [0.3, 0.87])
+def test_pair_fit_equals_the_dense_fit_on_the_oracle(distance, mean_pairs):
+    # the oracle observes every cell of positive acceptance and fits to
+    # rounding, so the residual is compared in absolute terms
+    config = tp.ExperimentConfig(distance=distance, mean_pairs=mean_pairs)
+    acc = expected_accumulator(config, tp.analytic_summary(config).psi, 20_000)
+    rec = assert_pair_fit_is_dense(acc, config.camera, config.fringe_period, residual_abs=1e-12)
+    assert rec.joint_fit.residual < 1e-12
+
+
+@pytest.fixture(scope="module")
+def closure_3000():
+    config = tp.ExperimentConfig(n_frames=3000, seed=5)
+    acc = analyze_source(tp.build_simulator(config, psi=0.6), config.camera).accumulator
+    return acc, config.fringe_period
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_cameras_that_differ_in_the_filter_geometry_get_their_own_fit(closure_3000, first):
+    acc, period = closure_3000
+    cams = [CameraModel(), CameraModel(strip_rows=(248, 263)), CameraModel(patch_size=5)]
+    tp.experiment._fit_geometry.cache_clear()
+    framepipe.acceptance_profile.cache_clear()
+    order = cams[first:] + cams[:first]
+    fits = {cam: assert_pair_fit_is_dense(acc, cam, period).joint_fit for cam in order}
+    assert len({fit.offset for fit in fits.values()}) == len(cams)
+
+
+def test_cached_arrays_are_read_only():
+    cam = CameraModel()
+    normal = tp.experiment._fit_geometry(cam, tp.ExperimentConfig().fringe_period)
+    arrays = [normal.profile, normal.basis, normal.gram, normal.unit_gram]
+    for arr in arrays + list(framepipe.acceptance_profile(cam)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def tiny_accumulator(width, i, j):
+    acc = framepipe.CoincidenceAccumulator(width)
+    acc.matrix[[i, j, i, j], [i, j, j, i]] = 1
+    acc.frames_total, acc.frames_empty = 10, 5
+    return acc
+
+
+@pytest.mark.parametrize(
+    "cam, period, error",
+    [
+        # |delta col| of 6 and 7 only: 6 cells of positive acceptance
+        (CameraModel(width=8, patch_size=5), 58e-6, UnderDeterminedFitError),
+        # the 512 pixels span less than two periods
+        (CameraModel(), 6.2e-3, UnderDeterminedFitError),
+        (CameraModel(), 0.0, InvalidParameterError),
+    ],
+)
+def test_invalid_geometry_raises_on_every_call(cam, period, error):
+    acc = tiny_accumulator(cam.width, 0, cam.width - 1)
+    result = AnalysisResult(acc, cam)
+    for _ in range(2):
+        with pytest.raises(error):
+            tp.recover_visibilities(result, period)
+    # the dense fit refuses the same geometry the same way
+    counts, acceptance = framepipe.corrected_counts(acc, cam)
+    with pytest.raises(error):
+        fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
+
+
+def test_recovery_rejects_an_accumulator_of_another_width():
+    result = AnalysisResult(tiny_accumulator(64, 10, 40), CameraModel())
+    with pytest.raises(InvalidParameterError, match="width"):
+        tp.recover_visibilities(result, tp.ExperimentConfig().fringe_period)
 
 
 def test_visibilities_are_reported_as_fitted():

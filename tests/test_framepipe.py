@@ -21,6 +21,7 @@ from twophoton.framepipe import (
     analyze_source,
     chi2_compare,
     classify_and_filter,
+    corrected_cells,
     corrected_counts,
     detect_photons,
     estimate_pair_rate,
@@ -286,6 +287,17 @@ class TestEstimate:
         assert np.array_equal(acceptance, want)
         assert counts[10, 10] == 0.0  # diagonal is in the missing band
         assert acceptance[10, 10] == 0.0
+
+    def test_corrected_cells_are_the_observed_corrected_counts(self):
+        # (28, 30) lies inside the missing band: counted, never observed
+        acc = self.make_acc([(10, 40), (12, 50), (10, 40), (28, 30)])
+        counts, acceptance = corrected_counts(acc, CAM64)
+        rows, cols, values = corrected_cells(acc, CAM64)
+        observed = (acc.matrix != 0) & (acceptance > 0)
+        assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(observed)))
+        assert np.array_equal(values, counts[rows, cols])
+        with pytest.raises(InvalidParameterError):
+            corrected_cells(acc, CameraModel(width=65))
 
     def test_finalize_properties(self):
         # (28, 33) sits next to the missing band, which stays unfilled

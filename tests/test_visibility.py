@@ -17,7 +17,9 @@ from twophoton.patterns import (
 from twophoton.visibility import (
     VisibilitySet,
     fit_fringe_visibility,
+    fit_joint_cells,
     fit_joint_visibility,
+    toeplitz_normal,
     visibilities_from_psi,
 )
 
@@ -288,6 +290,78 @@ class TestLstsqOracle:
         excess = excess_closed_form(0.4, PERIOD, ORACLE_GRIDS["odd"])
         with pytest.raises(InvalidParameterError):
             fit_joint_visibility(excess, PERIOD, np.ones((3, 3)))
+
+
+class TestToeplitzNormal:
+    """The fit of listed cells under a weight of |i - j| equals the dense fit
+    of the pattern that holds 0 on every other cell."""
+
+    GRID = ORACLE_GRIDS["odd"]
+
+    def profile(self):
+        d = np.arange(self.GRID.n)
+        return np.where(d > 3, 1.0 / (1.0 + d), 0.0)
+
+    def dense(self, y, profile):
+        idx = np.arange(self.GRID.n)
+        weights = profile[np.abs(np.subtract.outer(idx, idx))]
+        return fit_joint_visibility(JointPattern2D(self.GRID, y, "excess"), PERIOD, weights)
+
+    @pytest.mark.parametrize("share", [0.02, 0.5, 1.0])
+    def test_listed_cells_fit_like_the_dense_pattern(self, share):
+        rng = np.random.default_rng(int(share * 100))
+        clean = excess_closed_form(0.4, PERIOD, self.GRID).values
+        profile = self.profile()
+        idx = np.arange(self.GRID.n)
+        selected = profile[np.abs(np.subtract.outer(idx, idx))] > 0
+        listed = selected & (rng.random(clean.shape) < share)
+        y = np.where(listed, clean + rng.normal(0, 0.1 * np.abs(clean).max(), clean.shape), 0.0)
+        rows, cols = np.nonzero(listed)
+        normal = toeplitz_normal(self.GRID, PERIOD, profile)
+        assert normal.selected == np.count_nonzero(selected)
+        fit = fit_joint_cells(normal, rows, cols, y[rows, cols])
+        want = self.dense(y, profile)
+        for name in ("v12", "amp_sum", "amp_diff", "amp_single", "offset", "residual"):
+            assert getattr(fit, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+
+    def test_noise_free_residual_keeps_its_digits(self):
+        # every selected cell listed: the residual is summed cell by cell,
+        # not expanded into terms that cancel
+        clean = excess_closed_form(0.4, PERIOD, self.GRID).values
+        profile = self.profile()
+        idx = np.arange(self.GRID.n)
+        rows, cols = np.nonzero(profile[np.abs(np.subtract.outer(idx, idx))] > 0)
+        fit = fit_joint_cells(toeplitz_normal(self.GRID, PERIOD, profile), rows, cols, clean[rows, cols])
+        assert fit.residual < 1e-13
+        assert abs(fit.residual - self.dense(clean, profile).residual) < 1e-13
+
+    def test_normal_arrays_are_read_only(self):
+        normal = toeplitz_normal(self.GRID, PERIOD, self.profile())
+        for arr in (normal.profile, normal.basis, normal.gram, normal.unit_gram):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_profile_must_be_finite_and_non_negative(self, bad):
+        profile = self.profile()
+        profile[40] = bad
+        with pytest.raises(InvalidParameterError):
+            toeplitz_normal(self.GRID, PERIOD, profile)
+
+    def test_profile_must_match_the_grid(self):
+        with pytest.raises(InvalidParameterError):
+            toeplitz_normal(self.GRID, PERIOD, self.profile()[:-1])
+
+    def test_too_few_selected_cells(self):
+        profile = np.zeros(self.GRID.n)
+        profile[-1] = 1.0
+        with pytest.raises(UnderDeterminedFitError):
+            toeplitz_normal(self.GRID, PERIOD, profile)
+
+    def test_listed_cell_of_zero_weight_is_refused(self):
+        normal = toeplitz_normal(self.GRID, PERIOD, self.profile())
+        with pytest.raises(InvalidParameterError):
+            fit_joint_cells(normal, np.array([5, 9]), np.array([60, 9]), np.ones(2))
 
 
 class TestUnderDetermined:
