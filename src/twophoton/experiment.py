@@ -221,13 +221,15 @@ def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisi
     it carries no difference fringe, so the difference amplitude holds the
     pairs' V12 diluted by 1 - eps, with eps estimated from the empty-frame
     fraction and the quantum efficiency of the result's camera.  A stream
-    with no empty frame gives no estimate of eps and raises
-    ``EmptyEstimateError``.
+    with no accepted pair on an observed cell, or with no empty frame and
+    so no estimate of eps, raises ``EmptyEstimateError``.
     """
     acc, cam = result.accumulator, result.camera
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to fit")
     rows, cols, counts = corrected_cells(acc, cam)
+    if rows.size == 0:
+        raise EmptyEstimateError("no accepted pair on a cell of positive acceptance")
     jfit = fit_joint_cells(_fit_geometry(cam, period), rows, cols, counts)
     qe = cam.quantum_efficiency
     eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)

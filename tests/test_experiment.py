@@ -135,7 +135,8 @@ def dense_recovery(acc, cam, period):
     weighted by the acceptance through ``fit_joint_visibility``."""
     counts, acceptance = framepipe.corrected_counts(acc, cam)
     jfit = fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
-    eps = tp.recover_visibilities(AnalysisResult(acc, cam), period).accidentals
+    qe = cam.quantum_efficiency
+    eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
     v12 = (jfit.amp_sum - jfit.amp_diff) / (jfit.offset * (1.0 - eps))
     return jfit, jfit.amp_single / jfit.offset, v12
 
@@ -228,6 +229,15 @@ def test_invalid_geometry_raises_on_every_call(cam, period, error):
     counts, acceptance = framepipe.corrected_counts(acc, cam)
     with pytest.raises(error):
         fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
+
+
+def test_recovery_of_pairs_inside_the_band_only_is_empty():
+    # finalize refuses the same accumulator: no cell it holds is observed
+    result = AnalysisResult(tiny_accumulator(512, 10, 12), CameraModel())
+    with pytest.raises(EmptyEstimateError, match="positive acceptance"):
+        tp.recover_visibilities(result, tp.ExperimentConfig().fringe_period)
+    with pytest.raises(EmptyEstimateError):
+        framepipe.finalize(result.accumulator, result.camera)
 
 
 def test_recovery_rejects_an_accumulator_of_another_width():
