@@ -107,10 +107,12 @@ def write_frames(
     A block is ``(n, key, value)``: ``n`` frames as records, sorted unique
     int64 flat indices into the ``(n, height, width)`` block and their
     uint16 values, the form ``strip_records`` of every row returns; a
-    record of value 0 is not stored.  Raises ENOSPC before opening the file
-    when its directory, counting a file it replaces, lacks room for the
-    header and 12 bytes per frame, the least the file takes.  If anything
-    raises once the file is open, a full disk included, the file is deleted.
+    record of value 0 is not stored.  Keys or values that are not integers,
+    or a value outside 0..65535, raise ``FrameFormatError``.  Raises ENOSPC
+    before opening the file when its directory, counting a file it replaces,
+    lacks room for the header and 12 bytes per frame, the least the file
+    takes.  If anything raises once the file is open, a full disk included,
+    the file is deleted.
     The offset table is held in memory until the end, 8 bytes per frame.
     """
     header = FrameFileHeader(width, height, frame_count)
@@ -144,9 +146,16 @@ def write_frames(
 
 def _pack_block(first: int, n: int, key, value, header: FrameFileHeader) -> tuple[np.ndarray, np.ndarray]:
     """Version-2 bytes of frames ``first..first+n-1`` given as records, and
-    the offset of each frame's count within them."""
+    the offset of each frame's count within them.  Keys and values must be
+    integers, values in 0..65535; a uint16 ``value`` is not scanned."""
     frame_pixels = header.width * header.height
-    key, value = np.asarray(key, dtype=np.int64), np.asarray(value, dtype=np.uint16)
+    key, value = np.asarray(key), np.asarray(value)
+    for name, a in (("keys", key), ("values", value)):
+        if a.size and a.dtype.kind not in "iu":
+            raise FrameFormatError(
+                f"frames {first}..{first + n - 1}: {name} of dtype {a.dtype} are not integers"
+            )
+    key = key.astype(np.int64, copy=False)
     if key.shape != value.shape or (
         key.size and (key[0] < 0 or key[-1] >= n * frame_pixels or np.any(np.diff(key) <= 0))
     ):
@@ -154,6 +163,15 @@ def _pack_block(first: int, n: int, key, value, header: FrameFileHeader) -> tupl
             f"frames {first}..{first + n - 1}: records are not sorted unique pixels of "
             f"{n} frames of {header.height}x{header.width}"
         )
+    if value.dtype != np.uint16:
+        wide = np.flatnonzero((value < 0) | (value > np.iinfo(np.uint16).max))
+        if wide.size:
+            i = int(wide[0])
+            raise FrameFormatError(
+                f"frame {first + key[i] // frame_pixels}, record {i}: "
+                f"value {value[i]} is outside 0..65535"
+            )
+        value = value.astype(np.uint16)
     lit = value != 0
     frame, index = np.divmod(key[lit], frame_pixels)
     counts = np.bincount(frame, minlength=n)

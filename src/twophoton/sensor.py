@@ -17,9 +17,8 @@ with array arithmetic on the same streams, bit for bit:
   block; PCG64's ``srandom_r`` seeding then runs on (hi, lo) uint64 limbs;
 * output word j of a stream is xsl_rr(A_j s + C_j inc) mod 2**128, with
   A_j = M**j and C_j = sum of M**i for i < j (LCG jump-ahead: F. Brown,
-  Trans. Am. Nucl. Soc. 71, 1994); before each stage one pass fills the
-  words every frame's next draws read, and a word outside it is computed
-  where a frame needs it;
+  Trans. Am. Nucl. Soc. 71, 1994); every word is computed by jump-ahead
+  where a draw reads it;
 * the words are decoded in numpy's draw order: doubles as
   (u >> 11) * 2**-53, Poisson counts by its multiplication method,
   uniforms as low + (high - low) * d, bounded integers from buffered
@@ -379,11 +378,9 @@ class _BlockStreams:
 
     ``state`` and ``inc`` are the streams' seeded (hi, lo) uint64 limbs.
     Word p of stream f is the (p+1)-th ``random_raw`` output of its
-    generator.  ``fill`` computes the words the next draws of every stream
-    will read in one jump-ahead pass; a word outside the last fill is
-    computed where a stream asks for it.  Each stream keeps its read
-    position ``pos`` and numpy's buffered uint32 half (``carry``, ``half``),
-    the ``has_uint32`` state of its generator.
+    generator, computed by jump-ahead where a draw reads it.  Each stream
+    keeps its read position ``pos`` and numpy's buffered uint32 half
+    (``carry``, ``half``), the ``has_uint32`` state of its generator.
     """
 
     def __init__(self, state, inc):
@@ -393,40 +390,17 @@ class _BlockStreams:
         self.pos = np.zeros(n, dtype=np.int64)
         self.carry = np.zeros(n, dtype=np.int64)
         self.half = np.zeros(n, dtype=np.uint64)
-        # the filled words of stream f are at positions first[f] + i, i < count[f],
-        # and in ``filled[offset[f] + i]``
-        self.first = np.zeros(n, dtype=np.int64)
-        self.count = np.zeros(n, dtype=np.int64)
-        self.offset = np.zeros(n, dtype=np.int64)
-        self.filled = np.zeros(0, dtype=np.uint64)
 
-    def _jump(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Words p of streams f (1-d), by jump-ahead: A_{p+1} s_f and
-        C_{p+1} inc_f in one 128-bit product, then their sum."""
+    def words(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Words p of streams f, arrays of one shape, by jump-ahead:
+        A_{p+1} s_f and C_{p+1} inc_f in one 128-bit product, then their sum."""
+        shape, f, p = p.shape, f.ravel(), p.ravel()
         hi, lo = _steps(int(p.max(initial=0)) + 1)
         step = p + 1
         table = np.concatenate([step, step + hi.size // 2])
         seed = np.concatenate([f, f + self.pos.size])
         hi, lo = _mul128((hi[table], lo[table]), (self.seeds[0][seed], self.seeds[1][seed]))
-        return _xsl_rr(*_add128((hi[: p.size], lo[: p.size]), (hi[p.size :], lo[p.size :])))
-
-    def fill(self, count: np.ndarray) -> None:
-        """Compute the next ``count[f]`` words of every stream f."""
-        f, i = _ragged(count)
-        self.filled = self._jump(f, self.pos[f] + i)
-        self.first[:] = self.pos
-        self.count = count
-        self.offset = np.cumsum(count) - count
-
-    def words(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
-        i = p - self.first[f]
-        hit = (i >= 0) & (i < self.count[f])
-        if hit.all():
-            return self.filled[self.offset[f] + i]
-        out = np.empty(p.shape, dtype=np.uint64)
-        out[hit] = self.filled[(self.offset[f] + i)[hit]]
-        out[~hit] = self._jump(f[~hit], p[~hit])
-        return out
+        return _xsl_rr(*_add128((hi[: p.size], lo[: p.size]), (hi[p.size :], lo[p.size :]))).reshape(shape)
 
     def doubles(self, f: np.ndarray, p: np.ndarray) -> np.ndarray:
         """numpy's doubles from words p of streams f: (u >> 11) * 2**-53."""
@@ -578,10 +552,7 @@ class FrameSimulator:
         h, w = cam.height, cam.width
         k = np.arange(lo, hi, dtype=np.int64).astype(np.uint32)
         st = _BlockStreams(*_pcg64_seeds(self._pool, k))
-        st.fill(np.full(n, _poisson_chunk(self.mean_pairs)))
         n_pairs = st.poisson(self.mean_pairs)
-        # cells, unused doubles and detection, at most a word of rows per pair, dark count
-        st.fill(6 * n_pairs + _poisson_chunk(cam.dark_rate))
         pair_frame, j = _ragged(n_pairs)
         base = st.pos[pair_frame]
         cell = np.searchsorted(self._cdf, st.doubles(pair_frame, base + j), side="right")
@@ -605,8 +576,6 @@ class FrameSimulator:
         inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
         size = 1 + inside.sum(axis=1)
         patch_words = np.bincount(ev_frame, weights=size, minlength=n).astype(np.int64)
-        # two words per dark pixel: its uint32 row and column, then its level
-        st.fill(patch_words + 2 * n_dark)
         before = np.cumsum(size) - size
         first = np.cumsum(n_events) - n_events
         start = st.pos[ev_frame] + before - before[first[ev_frame]]

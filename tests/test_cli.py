@@ -249,6 +249,20 @@ class TestSimulate:
         assert main(["simulate", "--frames", "2", "--out", str(out)]) == 3
         assert list(out.iterdir()) == []
 
+    def test_values_outside_uint16_exit_3(self, tmp_path, monkeypatch, capsys):
+        draw = sensor.FrameSimulator._draw_block
+
+        def widened(self, lo, hi):
+            key, value = draw(self, lo, hi)
+            return key, value.astype(np.int64) + 65536
+
+        monkeypatch.setattr(sensor.FrameSimulator, "_draw_block", widened)
+        out = tmp_path / "out"
+        assert main(["simulate", "--frames", "50", "--seed", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "outside 0..65535" in err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_end_to_end(self, tmp_path, capsys):

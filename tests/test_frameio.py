@@ -224,6 +224,46 @@ class TestWriteRead:
             b"\x01\0\0\0" + b"\x01\0\0\0" + b"\x02\x01" + HEADER_SIZE.to_bytes(8, "little")
         )
 
+    @pytest.mark.parametrize(
+        "parts, where",
+        [
+            ([(1, np.array([0, 3]), np.array([70000, -1]))], "frame 0, record 0: value 70000"),
+            ([(1, np.array([0, 3]), np.array([5, -1]))], "frame 0, record 1: value -1"),
+            # the second block's frame 1 is frame 3 of the file
+            (
+                [(2, np.array([1]), np.array([9], np.uint16)), (2, np.array([2, 17]), np.array([1, 65536]))],
+                "frame 3, record 1: value 65536",
+            ),
+        ],
+    )
+    def test_values_outside_uint16_rejected(self, tmp_path, parts, where):
+        p = tmp_path / "w.bifr"
+        with pytest.raises(FrameFormatError, match=where):
+            write_frames(p, 4, 4, parts, sum(n for n, _, _ in parts))
+        assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            (np.array([0.5, 3.0]), np.array([7, 1]), "keys of dtype float64"),
+            (np.array([0, 3]), np.array([7.0, 1.5]), "values of dtype float64"),
+            (np.array([0, 3]), np.array([True, True]), "values of dtype bool"),
+        ],
+    )
+    def test_non_integer_records_rejected(self, tmp_path, key, value, name):
+        p = tmp_path / "w.bifr"
+        with pytest.raises(FrameFormatError, match=f"frames 0..0: {name} are not integers"):
+            write_frames(p, 4, 4, [(1, key, value)], 1)
+        assert not p.exists()
+
+    def test_integers_in_range_write_the_uint16_bytes(self, tmp_path):
+        frames = make_frames(3)
+        key, value = records(np.stack(frames), (0, 6))
+        wide, narrow = tmp_path / "wide.bifr", tmp_path / "narrow.bifr"
+        write_frames(wide, 8, 6, [(3, key.astype(np.uint32), value.astype(np.int64))], 3)
+        write_frames(narrow, 8, 6, [(3, key, value)], 3)
+        assert wide.read_bytes() == narrow.read_bytes()
+
 
 class TestCsvAndPgm:
     def test_pattern_csv_roundtrip(self, tmp_path):

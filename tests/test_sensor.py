@@ -500,12 +500,14 @@ class TestBlockArithmetic:
     def test_words_match_random_raw(self, seed):
         ks = [0, 1, 77, 2**32 - 1]
         streams = _BlockStreams(*_pcg64_seeds(_seed_pool(seed), np.array(ks, dtype=np.uint32)))
-        # words 0-6 come from a fill, the rest by jump-ahead where they are asked for
-        streams.fill(np.full(len(ks), 7))
-        p = np.arange(300)
-        for f, k in enumerate(ks):
+        # every stream in one 2-d call, each row asking for its positions out of order
+        p = np.random.default_rng(seed).permuted(np.tile(np.arange(300), (len(ks), 1)), axis=1)
+        f = np.broadcast_to(np.arange(len(ks))[:, None], p.shape)
+        got = streams.words(f, p)
+        assert got.shape == p.shape
+        for row, k in enumerate(ks):
             want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).random_raw(300)
-            assert np.array_equal(streams.words(np.full(300, f), p), want)
+            assert np.array_equal(got[row], want[p[row]])
 
     def test_poisson_reads_past_its_first_pass(self):
         # at the default dark rate one pass reads 2 doubles; about 1 stream
