@@ -207,7 +207,7 @@ def _fit_geometry(cam: CameraModel, period: float) -> ToeplitzNormal:
 def recover_visibilities(result: AnalysisResult, period: float) -> RecoveredVisibilities:
     """Fit the visibilities to the acceptance-corrected pair counts.
 
-    The fit is ``fit_joint_visibility`` of ``corrected_counts`` weighted by
+    The fit is ``fit_joint_visibility`` of the corrected counts weighted by
     the per-cell acceptance, the inverse variance of a corrected count up to
     the slowly varying G2 itself; its zeros, the near-diagonal band the
     pipeline cannot resolve, are never read.  It is computed as

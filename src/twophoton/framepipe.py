@@ -7,15 +7,15 @@ maximum, events outside the readout strip are dropped, and frames with
 exactly two remaining events whose vertical separation is less than
 ``RATIO`` = 1/3 of their horizontal separation contribute an outer-product
 increment to the coincidence accumulator.
-``corrected_counts`` divides the geometry of the vertical-separation filter
-out of the accumulated counts and returns it as a per-cell acceptance, 0 on
-the resolution-limited near-diagonal band; ``acceptance_profile`` holds that
-acceptance once per camera, as a function of the separation.  It is the
-visibility fit's weight, and the fit reads only the cells where it is
-positive: ``corrected_cells`` lists the corrected counts of the observed
-cells, those of nonzero count and positive acceptance.  ``finalize`` scales
-the corrected counts to a normalized joint pattern for display and export,
-0 on the zero-acceptance cells it never observed.  ``marginal_consistency`` tests the G2 marginal against the
+``acceptance_profile`` holds, once per camera and as a function of the
+horizontal separation, the geometry of the vertical-separation filter: a
+cell's acceptance, 0 on the resolution-limited near-diagonal band.  It is
+the visibility fit's weight.  ``corrected_cells`` divides it out of the
+accumulated counts at the observed cells, those of nonzero count and
+positive acceptance, and everything past the accumulator reads those
+cells: the fit, ``finalize``, which scatters them into a normalized joint
+pattern for display and export, 0 on the cells it never observed, and
+``marginal_consistency``, which tests their row sums against the
 singles histogram by chi-square, with ``scipy.special.chdtrc`` as p-value.
 
 ``analyze_source`` does this for blocks of frames at once, on the strip rows
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, ndimage, sparse, special
+from scipy import ndimage, sparse, special
 from scipy.sparse import csgraph
 
 from .errors import EmptyEstimateError, InvalidParameterError
@@ -253,11 +253,13 @@ def vertical_acceptance(delta_col: np.ndarray | int, strip_height: int) -> np.nd
     Rows are independent and uniform over the strip, so acceptance is the
     exact count of integer row pairs with |delta row| < RATIO * |delta col|
     over strip_height^2.  This is the geometric bias the filter imposes as a
-    function of horizontal separation; ``corrected_counts`` divides it out.
+    function of horizontal separation; ``corrected_cells`` divides it out.
     """
-    if strip_height < 1:
-        raise InvalidParameterError("strip height must be >= 1")
+    if not (isinstance(strip_height, (int, np.integer)) and strip_height >= 1):
+        raise InvalidParameterError("strip height must be an integer >= 1")
     dc = np.abs(np.asarray(delta_col, dtype=float))
+    if not np.isfinite(dc).all():
+        raise InvalidParameterError("column separations must be finite")
     # largest integer strictly below RATIO*|dc|
     m = np.ceil(RATIO * dc).astype(int) - 1
     m = np.clip(m, -1, strip_height - 1)
@@ -287,44 +289,22 @@ def acceptance_profile(cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     return accept, scale
 
 
-def _check_width(acc: CoincidenceAccumulator, cam: CameraModel) -> None:
+def corrected_cells(
+    acc: CoincidenceAccumulator, cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and acceptance-corrected counts of the observed cells.
+
+    A cell's acceptance is that of ``acceptance_profile`` at its horizontal
+    separation, and its corrected count is the raw count over it, so the
+    corrected count's Poisson variance is count / acceptance.  A cell is
+    observed when its count is nonzero and its acceptance positive; the
+    cells come in row-major order.  Past one comparison of the matrix with
+    0, the work is proportional to the number of such cells.
+    """
     if acc.width != cam.width:
         raise InvalidParameterError(
             f"accumulator width {acc.width} differs from the camera width {cam.width}"
         )
-
-
-def _corrected(acc: CoincidenceAccumulator, cam: CameraModel) -> np.ndarray:
-    _check_width(acc, cam)
-    return acc.matrix * linalg.toeplitz(acceptance_profile(cam)[1])
-
-
-def corrected_counts(
-    acc: CoincidenceAccumulator, cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance-corrected pair counts and the per-cell acceptance.
-
-    A cell's acceptance is that of ``acceptance_profile`` at its horizontal
-    separation.  A count is the raw count over its acceptance (0 where that
-    is 0), so its Poisson variance is count / acceptance.  The acceptance is
-    the visibility fit's weight, that variance's inverse up to the slowly
-    varying G2, and its zeros are the cells the fit never reads.  Both
-    matrices are Toeplitz: they depend only on |delta col|.
-    """
-    counts = _corrected(acc, cam)
-    return counts, linalg.toeplitz(acceptance_profile(cam)[0])
-
-
-def corrected_cells(
-    acc: CoincidenceAccumulator, cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of ``corrected_counts`` at the observed cells.
-
-    A cell is observed when its count is nonzero and its acceptance
-    positive; the cells come in row-major order.  Past one comparison of the
-    matrix with 0, the work is proportional to the number of such cells.
-    """
-    _check_width(acc, cam)
     accept, scale = acceptance_profile(cam)
     cells = np.flatnonzero(acc.matrix != 0)
     rows, cols = np.divmod(cells, acc.width)
@@ -337,16 +317,18 @@ def finalize(acc: CoincidenceAccumulator, cam: CameraModel) -> JointPattern2D:
     """Normalized G2 estimate from the accumulated counts, for display and
     export.
 
-    The acceptance-corrected counts (``corrected_counts``) scaled to unit
-    sum over the pixel-center position grid.  Every cell of zero acceptance
-    (the near-diagonal band and any separation the vertical filter never
-    accepts) was never observed and holds 0, so the estimate is the pattern
-    ``recover_visibilities`` fits: refitting it with the acceptance as the
-    weight gives the same visibilities.
+    The corrected counts of the observed cells (``corrected_cells``) scaled
+    to unit sum over the pixel-center position grid.  Every other cell holds
+    0: those of zero acceptance (the near-diagonal band and any separation
+    the vertical filter never accepts) were never observed, so the estimate
+    is the pattern ``recover_visibilities`` fits, and refitting it with the
+    acceptance as the weight gives the same visibilities.
     """
     if acc.pairs_accepted == 0:
         raise EmptyEstimateError("no accepted coincidence pairs to finalize")
-    est = _corrected(acc, cam)
+    rows, cols, values = corrected_cells(acc, cam)
+    est = np.zeros((acc.width, acc.width))
+    est[rows, cols] = values
     grid = cam.pixel_grid()
     total = est.sum() * grid.spacing**2
     if total <= 0:
@@ -402,24 +384,23 @@ def chi2_compare(observed: np.ndarray, expected: np.ndarray, variance: np.ndarra
     return Chi2Result(stat, dof, float(special.chdtrc(dof, stat)))
 
 
-def marginal_consistency(
-    acc: CoincidenceAccumulator, cam: CameraModel, factor: int = 4
-) -> Chi2Result:
+def marginal_consistency(acc: CoincidenceAccumulator, cam: CameraModel) -> Chi2Result:
     """Compare the G2-estimate marginal against the direct singles histogram.
 
-    Both are reduced to superpixel bins and normalized; the chi-square uses
-    propagated variances (for the marginal, the Poisson variance count /
-    acceptance of each corrected count; Poisson for the singles).  The
-    cells of zero acceptance, the unobservable near-diagonal band, hold 0,
-    so the marginal is that of ``finalize``'s estimate up to scale; the band
-    carries a per-row mass fraction so nearly uniform that leaving it out is
-    absorbed by the shared normalization.
+    Both are reduced to superpixel bins of 4 pixels and normalized; the
+    chi-square uses propagated variances (for the marginal, the Poisson
+    variance count / acceptance of each corrected count; Poisson for the
+    singles).  The marginal sums the observed cells of each row
+    (``corrected_cells``), so it is that of ``finalize``'s estimate up to
+    scale; the unobservable near-diagonal band carries a per-row mass
+    fraction so nearly uniform that leaving it out is absorbed by the shared
+    normalization.
     """
-    counts, acceptance = corrected_counts(acc, cam)
-    variances = np.divide(counts, acceptance, out=np.zeros_like(counts), where=acceptance > 0)
-    marg = superpixel_bin(counts.sum(axis=1), factor)
-    marg_var = superpixel_bin(variances.sum(axis=1), factor)
-    singles = superpixel_bin(acc.singles.astype(float), factor)
+    rows, cols, values = corrected_cells(acc, cam)
+    variances = values / acceptance_profile(cam)[0][np.abs(rows - cols)]
+    marg = superpixel_bin(np.bincount(rows, values, minlength=acc.width), 4)
+    marg_var = superpixel_bin(np.bincount(rows, variances, minlength=acc.width), 4)
+    singles = superpixel_bin(acc.singles.astype(float), 4)
     n1, n2 = marg.sum(), singles.sum()
     if n1 <= 0 or n2 <= 0:
         raise EmptyEstimateError("not enough counts for a consistency test")
@@ -456,8 +437,8 @@ def accidental_fraction(mean_pairs: float, quantum_efficiency: float) -> float:
     The Poisson sum over k runs to mean + 12 sqrt(mean) + 64, past which
     the terms are below exp(-70) of the largest, for any mean.
     """
-    if mean_pairs < 0:
-        raise InvalidParameterError("mean pairs must be >= 0")
+    if not 0 <= mean_pairs < np.inf:
+        raise InvalidParameterError("mean pairs must be finite and >= 0")
     if not 0 <= quantum_efficiency <= 1:
         raise InvalidParameterError("quantum efficiency must be in [0, 1]")
     if mean_pairs == 0 or quantum_efficiency == 1:

@@ -154,8 +154,8 @@ def _pair_cdf(pdf: JointPattern2D) -> np.ndarray:
             raise InvalidParameterError("pdf has negative entries")
         v = np.clip(v, 0.0, None)
     total = v.sum()
-    if total <= 0:
-        raise InvalidParameterError("pdf has zero total mass")
+    if not 0 < total < np.inf:
+        raise InvalidParameterError("pdf total mass must be positive and finite")
     return np.cumsum(v) / total
 
 

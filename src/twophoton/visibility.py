@@ -36,7 +36,7 @@ class VisibilitySet:
 
 def visibilities_from_psi(psi: float) -> VisibilitySet:
     """All three visibilities for a real psi in [-1, 1]."""
-    if abs(psi) > 1 + 1e-12:
+    if not abs(psi) <= 1 + 1e-12:
         raise InvalidParameterError(f"|psi| must be <= 1, got {psi}")
     denom = 1.0 + psi * psi
     return VisibilitySet(

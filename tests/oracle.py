@@ -26,6 +26,11 @@ oracle predicts about 1.3% fewer accepted pairs than the Monte Carlo makes,
 an offset that a Poisson test of the pair count resolves at about 300,000
 frames.  Dark pixels touching a patch are rare enough to leave out.
 
+``acceptance_matrix(cam)`` is that per-cell acceptance as a dense matrix,
+and ``corrected_matrix(acc, cam)`` the dense acceptance-corrected counts,
+the raw counts over it: the references that the package's list of observed
+cells, built from a per-separation profile, is checked against.
+
 ``records`` and ``scatter`` convert between dense uint16 frames and the
 ``(key, value)`` records a frame source hands ``framepipe.analyze_source``,
 with plain numpy indexing.
@@ -139,6 +144,24 @@ def two_survivor_probability(mean_pairs: float, quantum_efficiency: float) -> fl
     return float(np.sum(np.exp(log_poisson) * k * (2 * k - 1) * eta**2 * (1 - eta) ** (2 * k - 2)))
 
 
+def acceptance_matrix(cam) -> np.ndarray:
+    """Per-cell acceptance of ``cam``: ``vertical_acceptance`` of the
+    column separation, 0 on the band |delta col| <= ``cam.patch_size``."""
+    idx = np.arange(cam.width)
+    dc = np.abs(np.subtract.outer(idx, idx))
+    accept = vertical_acceptance(dc, cam.strip_height)
+    accept[dc <= cam.patch_size] = 0.0
+    return accept
+
+
+def corrected_matrix(acc, cam) -> tuple[np.ndarray, np.ndarray]:
+    """Dense acceptance-corrected counts of ``acc`` and the acceptance: each
+    count over its cell's acceptance, 0 where that is 0."""
+    accept = acceptance_matrix(cam)
+    counts = np.divide(acc.matrix, accept, out=np.zeros_like(accept), where=accept > 0)
+    return counts, accept
+
+
 def expected_accumulator(config, psi: float, n_frames: int) -> CoincidenceAccumulator:
     """Mean accumulator of ``n_frames`` frames of ``build_simulator(config, psi)``.
 
@@ -152,10 +175,7 @@ def expected_accumulator(config, psi: float, n_frames: int) -> CoincidenceAccumu
     m = p.sum(axis=1)
     eps = accidental_fraction(config.mean_pairs, eta)
     mix = (1 - eps) * p + eps * np.outer(m, m)
-    idx = np.arange(cam.width)
-    dc = np.abs(np.subtract.outer(idx, idx))
-    accept = vertical_acceptance(dc, cam.strip_height)
-    accept[dc <= cam.patch_size] = 0.0
+    accept = acceptance_matrix(cam)
     pairs = n_frames * two_survivor_probability(config.mean_pairs, eta)
     off = pairs * accept * (mix + mix.T)
     acc = CoincidenceAccumulator(cam.width, matrix=off + np.diag(off.sum(axis=1)))

@@ -17,13 +17,12 @@ from twophoton import cli, frameio, sensor
 from twophoton.cli import main, parse_config_file
 from twophoton.errors import InvalidParameterError
 from twophoton.experiment import recover_visibilities
-from oracle import read_pattern_csv
+from oracle import corrected_matrix, read_pattern_csv
 from twophoton.frameio import HEADER_SIZE, VERSION, FrameFileReader, write_frames
 from twophoton.framepipe import (
     CoincidenceAccumulator,
     _reduce_range,
     analyze_source,
-    corrected_counts,
     finalize,
     process_frame,
 )
@@ -295,7 +294,7 @@ class TestAnalyze:
         # the written estimate is the fitted one, float64 bit for bit: 0 on
         # the unobserved band, and its acceptance-weighted refit gives the
         # logged visibilities to rounding
-        counts, acceptance = corrected_counts(result.accumulator, result.camera)
+        counts, acceptance = corrected_matrix(result.accumulator, result.camera)
         grid = result.camera.pixel_grid()
         values = np.load(out / "estimate.npy")
         assert values.dtype == np.float64 and values.shape == (grid.n, grid.n)

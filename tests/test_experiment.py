@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import twophoton as tp
-from oracle import expected_accumulator
+from oracle import acceptance_matrix, corrected_matrix, expected_accumulator
 from twophoton import framepipe, patterns, visibility
 from twophoton.biphoton import ApertureCorrelations
 from twophoton.errors import (
@@ -115,12 +115,16 @@ def test_closure_reads_no_band_fill(monkeypatch):
     assert 0.0 < closure.recovered.v1m <= 1.0
 
 
+def test_simulator_of_a_nan_psi_is_refused():
+    # a NaN psi makes a NaN pair pdf, refused before any frame is drawn
+    with pytest.raises(InvalidParameterError, match="total mass"):
+        tp.build_simulator(tp.ExperimentConfig(n_frames=200, seed=1), psi=float("nan"))
+
+
 def test_hot_path_builds_no_dense_pattern(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fit built a dense corrected-count pattern")
 
-    monkeypatch.setattr(framepipe, "corrected_counts", refuse)
-    monkeypatch.setattr(framepipe, "_corrected", refuse)
     monkeypatch.setattr(tp.experiment, "fit_joint_visibility", refuse)
     monkeypatch.setattr(visibility, "fit_joint_visibility", refuse)
     closure = tp.run_closure(tp.ExperimentConfig(n_frames=1500, seed=3), psi=0.6)
@@ -131,9 +135,10 @@ FIT_FIELDS = ("v12", "amp_sum", "amp_diff", "amp_single", "offset", "residual")
 
 
 def dense_recovery(acc, cam, period):
-    """``recover_visibilities`` by the dense route: ``corrected_counts``
-    weighted by the acceptance through ``fit_joint_visibility``."""
-    counts, acceptance = framepipe.corrected_counts(acc, cam)
+    """``recover_visibilities`` by the dense route: the corrected counts of
+    ``corrected_matrix`` weighted by the acceptance through
+    ``fit_joint_visibility``."""
+    counts, acceptance = corrected_matrix(acc, cam)
     jfit = fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
     qe = cam.quantum_efficiency
     eps = accidental_fraction(estimate_pair_rate(acc, qe), qe)
@@ -226,7 +231,7 @@ def test_invalid_geometry_raises_on_every_call(cam, period, error):
         with pytest.raises(error):
             tp.recover_visibilities(result, period)
     # the dense fit refuses the same geometry the same way
-    counts, acceptance = framepipe.corrected_counts(acc, cam)
+    counts, acceptance = corrected_matrix(acc, cam)
     with pytest.raises(error):
         fit_joint_visibility(JointPattern2D(cam.pixel_grid(), counts), period, acceptance)
 
@@ -264,7 +269,7 @@ def test_refit_of_the_written_estimate_is_the_recovered_fit(mean_pairs):
     config = tp.ExperimentConfig(n_frames=1500, mean_pairs=mean_pairs, seed=3)
     closure = tp.run_closure(config, psi=0.6)
     acc, cam = closure.analysis.accumulator, closure.analysis.camera
-    _, acceptance = framepipe.corrected_counts(acc, cam)
+    acceptance = acceptance_matrix(cam)
     fit = fit_joint_visibility(framepipe.finalize(acc, cam), config.fringe_period, acceptance)
     rec = closure.recovered
     assert fit.amp_single / fit.offset == pytest.approx(rec.v1m, rel=1e-12)

@@ -10,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from oracle import records
+from oracle import acceptance_matrix, corrected_matrix, records
 from twophoton.errors import EmptyEstimateError, InvalidParameterError
 from twophoton.framepipe import (
     RATIO,
     CoincidenceAccumulator,
     PairRecord,
+    acceptance_profile,
     accidental_fraction,
     accumulate_pair,
     analyze_source,
     chi2_compare,
     classify_and_filter,
     corrected_cells,
-    corrected_counts,
     detect_photons,
     estimate_pair_rate,
     finalize,
@@ -249,15 +249,23 @@ class TestVerticalAcceptance:
         assert a.shape == (512,)
         assert np.all(np.diff(a) >= 0)
 
+    @pytest.mark.parametrize(
+        "dc, h",
+        [(math.nan, 32), (math.inf, 32), (np.array([4.0, math.nan]), 32),
+         (5, 2.5), (5, 32.0), (5, 0), (5, -1)],
+    )
+    def test_rejects_values_outside_its_domain(self, dc, h):
+        with pytest.raises(InvalidParameterError):
+            vertical_acceptance(dc, h)
+
 
 CAM64 = CameraModel(width=64)
 
 
 def band_mask(width, patch_size):
-    """The missing cells of ``corrected_counts``, those of zero acceptance,
-    for a camera of this width and patch size."""
-    cam = CameraModel(width=width, patch_size=patch_size)
-    return corrected_counts(CoincidenceAccumulator(width), cam)[1] == 0
+    """The missing cells, those of zero acceptance, for a camera of this
+    width and patch size."""
+    return acceptance_matrix(CameraModel(width=width, patch_size=patch_size)) == 0
 
 
 class TestEstimate:
@@ -275,27 +283,26 @@ class TestEstimate:
 
     def test_corrected_counts_scale(self):
         acc = self.make_acc([(10, 40)])
-        counts, acceptance = corrected_counts(acc, CAM64)
+        rows, cols, values = corrected_cells(acc, CAM64)
         a = vertical_acceptance(30, CAM64.strip_height)
-        assert acceptance[10, 40] == acceptance[40, 10] == a
-        assert counts[10, 40] == pytest.approx(1 / a)
-        # one raw count: the corrected count's Poisson variance is 1 / a^2
-        assert counts[10, 40] / acceptance[10, 40] == pytest.approx(1 / a**2)
-        idx = np.arange(64)
-        dc = np.abs(np.subtract.outer(idx, idx))
-        want = np.where(dc <= CAM64.patch_size, 0.0, vertical_acceptance(dc, CAM64.strip_height))
-        assert np.array_equal(acceptance, want)
-        assert counts[10, 10] == 0.0  # diagonal is in the missing band
-        assert acceptance[10, 10] == 0.0
+        # the diagonal self-terms (10, 10) and (40, 40) are in the missing band
+        assert rows.tolist() == [10, 40] and cols.tolist() == [40, 10]
+        assert values.tolist() == pytest.approx([1 / a, 1 / a])
+        accept, scale = acceptance_profile(CAM64)
+        # the dense acceptance is the profile at each cell's separation
+        assert np.array_equal(acceptance_matrix(CAM64)[0], accept)
+        assert accept[30] == a and scale[30] == 1 / a
+        assert accept[CAM64.patch_size] == scale[CAM64.patch_size] == 0.0
 
     def test_corrected_cells_are_the_observed_corrected_counts(self):
         # (28, 30) lies inside the missing band: counted, never observed
         acc = self.make_acc([(10, 40), (12, 50), (10, 40), (28, 30)])
-        counts, acceptance = corrected_counts(acc, CAM64)
+        counts, acceptance = corrected_matrix(acc, CAM64)
         rows, cols, values = corrected_cells(acc, CAM64)
         observed = (acc.matrix != 0) & (acceptance > 0)
         assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(observed)))
-        assert np.array_equal(values, counts[rows, cols])
+        # a count times the reciprocal acceptance, against the count over it
+        assert np.allclose(values, counts[rows, cols], rtol=3e-16, atol=0)
         with pytest.raises(InvalidParameterError):
             corrected_cells(acc, CameraModel(width=65))
 
@@ -303,7 +310,7 @@ class TestEstimate:
         # (28, 33) sits next to the missing band, which stays unfilled
         acc = self.make_acc([(10, 40), (12, 50), (28, 33)])
         est = finalize(acc, CAM64)
-        counts, acceptance = corrected_counts(acc, CAM64)
+        counts, acceptance = corrected_matrix(acc, CAM64)
         assert est.grid == CAM64.pixel_grid()
         assert np.all(est.values[acceptance == 0] == 0.0)
         assert est.values[30, 30] == 0.0
@@ -324,7 +331,7 @@ class TestEstimate:
         with pytest.raises(InvalidParameterError):
             finalize(acc, CameraModel())
         with pytest.raises(InvalidParameterError):
-            corrected_counts(acc, CameraModel(width=65))
+            marginal_consistency(acc, CameraModel(width=65))
 
     def test_superpixel_bin(self):
         m = np.ones((8, 8))
@@ -391,7 +398,7 @@ class TestMarginalConsistency:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
-        r = marginal_consistency(acc, CAM64, factor=4)
+        r = marginal_consistency(acc, CAM64)
         assert r.pvalue > 0.01
 
     def test_inconsistent_detected(self):
@@ -405,7 +412,7 @@ class TestMarginalConsistency:
                 continue
             accumulate_pair(acc, PairRecord(PhotonEvent(250, int(i)), PhotonEvent(250, int(j))))
         acc.singles += np.bincount(rng.integers(0, width, 20_000), minlength=width)
-        r = marginal_consistency(acc, CAM64, factor=4)
+        r = marginal_consistency(acc, CAM64)
         assert r.pvalue < 1e-6
 
 
@@ -448,6 +455,11 @@ class TestRates:
     def test_accidental_fraction_rejects_bad_efficiency(self):
         with pytest.raises(InvalidParameterError):
             accidental_fraction(0.5, 1.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, -0.5])
+    def test_accidental_fraction_rejects_bad_mean(self, m):
+        with pytest.raises(InvalidParameterError):
+            accidental_fraction(m, 0.5)
 
     def test_accidental_fraction_two_pair_frame(self):
         # conditioned on k = 2: 2 true subsets of 6 -> 2/3 accidental

@@ -147,6 +147,14 @@ class TestSamplePairs:
         with pytest.raises(InvalidParameterError):
             _sample_from_cdf(_pair_cdf(pdf), 4, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_pdf_of_zero_or_non_finite_mass_rejected(self, bad):
+        grid = SpatialGrid(-1e-3, 1e-3, 4)
+        v = np.zeros((4, 4)) if bad == 0.0 else np.full((4, 4), 1.0)
+        v[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match="total mass"):
+            _pair_cdf(JointPattern2D(grid, v, "coincidence"))
+
 
 class TestApplyDetection:
     def test_eta_one_keeps_all(self):

@@ -1,5 +1,7 @@
 """Visibility formulas, the complementarity identity, and fringe fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,10 +47,9 @@ class TestClosedForms:
         assert ent.v1m == pytest.approx(0.0) and ent.v12 == pytest.approx(1.0)
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            visibilities_from_psi(1.5)
-        with pytest.raises(InvalidParameterError):
-            visibilities_from_psi(-1.2)
+        for psi in (1.5, -1.2, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError):
+                visibilities_from_psi(psi)
 
     @given(st.floats(-1.0, 1.0))
     def test_complementarity_identity(self, psi):
